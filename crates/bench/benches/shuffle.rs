@@ -3,7 +3,7 @@
 //! scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
+use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
 
 struct Tokenize;
@@ -57,17 +57,15 @@ fn bench_shuffle(c: &mut Criterion) {
     let cfg = JobConfig::named("wc").reducers(8);
 
     group.bench_function("no-combiner", |b| {
-        b.iter(|| run_job(input.clone(), 16, &Tokenize, &Sum, &cfg).unwrap())
+        b.iter(|| run_job(input.clone(), 16, &Tokenize, None, &Sum, &cfg).unwrap())
     });
     group.bench_function("with-combiner", |b| {
-        b.iter(|| {
-            run_job_with_combiner(input.clone(), 16, &Tokenize, &SumCombiner, &Sum, &cfg).unwrap()
-        })
+        b.iter(|| run_job(input.clone(), 16, &Tokenize, Some(&SumCombiner), &Sum, &cfg).unwrap())
     });
     for workers in [1usize, 4] {
         let cfg = JobConfig::named("wc").reducers(8).workers(workers);
         group.bench_function(BenchmarkId::new("workers", workers), |b| {
-            b.iter(|| run_job(input.clone(), 16, &Tokenize, &Sum, &cfg).unwrap())
+            b.iter(|| run_job(input.clone(), 16, &Tokenize, None, &Sum, &cfg).unwrap())
         });
     }
     group.finish();

@@ -31,8 +31,8 @@ use mrmc_bench::json::Json;
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{ChaosProfile, FaultPlan, Phase};
 use mrmc_mapreduce::{
-    run_job_with_faults, Dfs, DfsConfig, JobConfig, Mapper, NoFaults, RecoveryCounters, Reducer,
-    ShuffleSized, TaskContext,
+    run_job, Dfs, DfsConfig, JobConfig, Mapper, Pipeline, RecoveryCounters, Reducer, ShuffleSized,
+    TaskContext,
 };
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
@@ -63,7 +63,6 @@ impl Cell {
     }
 
     fn to_json(&self) -> Json {
-        let r = &self.recovery;
         Json::obj([
             ("subject", Json::from(self.subject)),
             ("fault", self.fault.into()),
@@ -73,24 +72,7 @@ impl Cell {
             ("overhead", Json::fixed(self.overhead, 3)),
             (
                 "recovery",
-                Json::obj([
-                    ("tasks_retried", Json::from(r.tasks_retried)),
-                    (
-                        "maps_reexecuted_node_loss",
-                        r.maps_reexecuted_node_loss.into(),
-                    ),
-                    (
-                        "maps_reexecuted_fetch_fail",
-                        r.maps_reexecuted_fetch_fail.into(),
-                    ),
-                    ("speculative_wins", r.speculative_wins.into()),
-                    ("shuffle_fetch_retries", r.shuffle_fetch_retries.into()),
-                    ("blocks_rereplicated", r.blocks_rereplicated.into()),
-                    (
-                        "corrupt_replicas_detected",
-                        r.corrupt_replicas_detected.into(),
-                    ),
-                ]),
+                Json::obj(self.recovery.fields().map(|(k, v)| (k, Json::from(v)))),
             ),
             (
                 "counters",
@@ -137,6 +119,23 @@ fn mrmc_config() -> MrMcConfig {
     }
 }
 
+/// A fresh pipeline whose every stage runs under `plan`.
+fn faulty_pipeline(plan: FaultPlan) -> Pipeline {
+    Pipeline::new("chaos").faults(Arc::new(plan.injector()))
+}
+
+/// A run's (pairs computed, candidates emitted, shuffle bytes, shuffle
+/// runs) across all its stages.
+fn run_counters(run: &mrmc::MrMcResult) -> (u64, u64, u64, u64) {
+    let shuffle = run.pipeline.total_shuffle();
+    (
+        run.pipeline.counter_total("PAIRS_COMPUTED"),
+        run.pipeline.counter_total("CANDIDATES_EMITTED"),
+        shuffle.bytes,
+        shuffle.runs,
+    )
+}
+
 /// Run the full pipeline under `plan` and compare against the clean
 /// baseline.
 fn pipeline_cell(
@@ -149,19 +148,14 @@ fn pipeline_cell(
 ) -> Cell {
     let runner = MrMcMinH::new(mrmc_config());
     let t = Instant::now();
-    let run = runner.run_with_injector(reads, &plan.injector());
+    let run = runner.run_on(reads, faulty_pipeline(plan));
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, counters) = match &run {
         Ok(r) => (
             true,
             r.assignment == clean.assignment && r.dendrogram == clean.dendrogram,
             r.recovery(),
-            (
-                r.pipeline.counter_total("PAIRS_COMPUTED"),
-                r.pipeline.counter_total("CANDIDATES_EMITTED"),
-                r.pipeline.counter_total("SHUFFLE_BYTES"),
-                r.pipeline.counter_total("SHUFFLE_RUNS"),
-            ),
+            run_counters(r),
         ),
         Err(_) => (false, false, RecoveryCounters::new(), (0, 0, 0, 0)),
     };
@@ -205,19 +199,14 @@ fn banded_cell(
     );
 
     let t = Instant::now();
-    let run = runner.run_with_injector(reads, &plan.injector());
+    let run = runner.run_on(reads, faulty_pipeline(plan));
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, counters) = match &run {
         Ok(r) => (
             true,
             r.assignment == clean.assignment,
             r.recovery(),
-            (
-                r.pipeline.counter_total("PAIRS_COMPUTED"),
-                r.pipeline.counter_total("CANDIDATES_EMITTED"),
-                r.pipeline.counter_total("SHUFFLE_BYTES"),
-                r.pipeline.counter_total("SHUFFLE_RUNS"),
-            ),
+            run_counters(r),
         ),
         Err(_) => (false, false, RecoveryCounters::new(), (0, 0, 0, 0)),
     };
@@ -287,28 +276,15 @@ fn wordcount_config() -> JobConfig {
 fn shuffle_cell(fault: &'static str, intensity: impl Into<String>, plan: FaultPlan) -> Cell {
     let input = wordcount_input();
     let t = Instant::now();
-    let clean = run_job_with_faults(
-        input.clone(),
-        8,
-        &Tokenize,
-        &Sum,
-        &wordcount_config(),
-        &NoFaults,
-    )
-    .expect("clean word count");
+    let clean = run_job(input.clone(), 8, &Tokenize, None, &Sum, &wordcount_config())
+        .expect("clean word count");
     let clean_secs = t.elapsed().as_secs_f64();
     let mut expect = clean.output;
     expect.sort();
 
     let t = Instant::now();
-    let run = run_job_with_faults(
-        input,
-        8,
-        &Tokenize,
-        &Sum,
-        &wordcount_config(),
-        &plan.injector(),
-    );
+    let config = wordcount_config().faults(Arc::new(plan.injector()));
+    let run = run_job(input, 8, &Tokenize, None, &Sum, &config);
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, shuffle_bytes, shuffle_runs) = match run {
         Ok(r) => {
@@ -539,7 +515,7 @@ fn main() {
     // pins every counter and histogram bucket).
     let snapshot_of = |plan: FaultPlan| {
         let run = MrMcMinH::new(mrmc_config())
-            .run_with_injector(&reads, &plan.injector())
+            .run_on(&reads, faulty_pipeline(plan))
             .expect("seeded chaos run for metrics snapshot");
         let registry = mrmc_obs::MetricsRegistry::new();
         run.pipeline.export_metrics(&registry);
@@ -606,7 +582,7 @@ fn main() {
             .task_slowdown(1, Phase::Map, 0, 15)
             .node_death_after_map(0, 2);
         let traced = MrMcMinH::new(mrmc_config())
-            .run_traced(&reads, &plan.injector(), tracer.clone())
+            .run_on(&reads, faulty_pipeline(plan).traced(tracer.clone()))
             .expect("traced combined-fault run");
         assert_eq!(
             traced.assignment, clean.assignment,

@@ -20,11 +20,13 @@
 //! cargo run -p mrmc-bench --release --bin figure2
 //! ```
 
+use std::sync::Arc;
+
 use mrmc::{CostCalibration, Mode, MrMcConfig, MrMcMinH};
 use mrmc_bench::json::{write_file, Json};
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::{chrome_trace, ClusterSpec, JobCostModel, Tracer};
+use mrmc_mapreduce::{chrome_trace, ClusterSpec, JobCostModel, Pipeline, Tracer};
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
 fn main() {
@@ -119,14 +121,15 @@ fn banded_section(
     let run = MrMcMinH::new(config).run(&reads).expect("banded run");
     let candidates = run.pipeline.counter_total("CANDIDATES_EMITTED");
     let cand_per_read = candidates as f64 / reads.len() as f64;
+    let shuffle = run.pipeline.total_shuffle();
     eprintln!(
         "\nbanded calibration: {} reads → {candidates} candidates \
          ({cand_per_read:.1}/read), {} pairs verified, {} B shuffled \
          across {} sorted runs ({:?} wire)",
         reads.len(),
         run.pipeline.counter_total("PAIRS_COMPUTED"),
-        run.pipeline.counter_total("SHUFFLE_BYTES"),
-        run.pipeline.counter_total("SHUFFLE_RUNS"),
+        shuffle.bytes,
+        shuffle.runs,
         wire,
     );
 
@@ -213,7 +216,9 @@ fn chaos_section(nodes: &[usize], model: &JobCostModel, args: &HarnessArgs) -> J
         .task_slowdown(0, Phase::Map, 2, 40)
         .task_slowdown(1, Phase::Map, 5, 40)
         .injector();
-    let chaotic = runner.run_with_injector(&reads, &inj).expect("chaotic run");
+    let chaotic = runner
+        .run_on(&reads, Pipeline::new("stragglers").faults(Arc::new(inj)))
+        .expect("chaotic run");
     assert_eq!(
         chaotic.assignment, clean.assignment,
         "stragglers must not change the clustering"
@@ -250,13 +255,14 @@ fn chaos_section(nodes: &[usize], model: &JobCostModel, args: &HarnessArgs) -> J
             ("overhead", Json::fixed(t_faulty / t_clean - 1.0, 4)),
         ]));
     }
+    let shuffle = clean.pipeline.total_shuffle();
     println!(
-        "\ncounters (clean run): PAIRS_COMPUTED = {}, SHUFFLED_PAIRS = {}, \
-         SHUFFLE_BYTES = {}, SHUFFLE_RUNS = {}",
+        "\ncounters (clean run): PAIRS_COMPUTED = {}, shuffled pairs = {}, \
+         shuffled bytes = {}, shuffle runs = {}",
         clean.pipeline.counter_total("PAIRS_COMPUTED"),
-        clean.pipeline.counter_total("SHUFFLED_PAIRS"),
-        clean.pipeline.counter_total("SHUFFLE_BYTES"),
-        clean.pipeline.counter_total("SHUFFLE_RUNS"),
+        shuffle.records,
+        shuffle.bytes,
+        shuffle.runs,
     );
     println!(
         "\ncheck: output bit-identical under stragglers; overhead shrinks as\n\
@@ -282,7 +288,7 @@ fn chaos_section(nodes: &[usize], model: &JobCostModel, args: &HarnessArgs) -> J
         let tracer = Tracer::new();
         chaotic
             .pipeline
-            .simulate_on_traced(&ClusterSpec::m1_large(6), model, &tracer);
+            .simulate_on(&ClusterSpec::m1_large(6), model, Some(&tracer));
         std::fs::write(path, chrome_trace(&tracer.ledger()))
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote simulated 6-node Chrome trace of the straggler run to {path}");

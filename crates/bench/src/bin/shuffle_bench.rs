@@ -26,7 +26,7 @@
 //! compact (bit-packed band keys, delta-encoded id runs, run-merging
 //! combiners, similarity-aware partitioning) — asserts the cluster
 //! assignments bit-identical, and reports the per-stage and total
-//! SHUFFLE_BYTES ratio. `--min-banded-ratio <r>` turns the ratio into
+//! `shuffled_bytes` ratio. `--min-banded-ratio <r>` turns the ratio into
 //! a CI gate: the process exits non-zero if compaction regresses
 //! below `r`.
 //!
@@ -46,7 +46,7 @@ use std::time::Instant;
 use mrmc::{MrMcConfig, MrMcMinH};
 use mrmc_bench::json::Json;
 use mrmc_bench::{alloc, HarnessArgs};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
+use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{
     partition_of, Combiner, JobConfig, Mapper, Reducer, ShuffleSized, TaskContext,
 };
@@ -253,9 +253,16 @@ fn measure(
         let owned = input.to_vec();
         let t = Instant::now();
         let run = if combine {
-            run_job_with_combiner(owned, MAPS, &PairMapper, &SumCombiner, &SumReducer, cfg)
+            run_job(
+                owned,
+                MAPS,
+                &PairMapper,
+                Some(&SumCombiner),
+                &SumReducer,
+                cfg,
+            )
         } else {
-            run_job(owned, MAPS, &PairMapper, &SumReducer, cfg)
+            run_job(owned, MAPS, &PairMapper, None, &SumReducer, cfg)
         }
         .expect("merged-plane job");
         let merged_secs = t.elapsed().as_secs_f64();

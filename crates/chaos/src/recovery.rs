@@ -49,15 +49,26 @@ impl RecoveryCounters {
         self.corrupt_replicas_detected += other.corrupt_replicas_detected;
     }
 
+    /// Every counter under its field name, in declaration order: the
+    /// one list that report and metrics emitters iterate.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        [
+            ("tasks_retried", self.tasks_retried),
+            ("maps_reexecuted_node_loss", self.maps_reexecuted_node_loss),
+            (
+                "maps_reexecuted_fetch_fail",
+                self.maps_reexecuted_fetch_fail,
+            ),
+            ("speculative_wins", self.speculative_wins),
+            ("shuffle_fetch_retries", self.shuffle_fetch_retries),
+            ("blocks_rereplicated", self.blocks_rereplicated),
+            ("corrupt_replicas_detected", self.corrupt_replicas_detected),
+        ]
+    }
+
     /// Total recovery events of any kind.
     pub fn total_events(&self) -> u64 {
-        self.tasks_retried
-            + self.maps_reexecuted_node_loss
-            + self.maps_reexecuted_fetch_fail
-            + self.speculative_wins
-            + self.shuffle_fetch_retries
-            + self.blocks_rereplicated
-            + self.corrupt_replicas_detected
+        self.fields().iter().map(|&(_, n)| n).sum()
     }
 
     /// True when no recovery was needed (a fault-free run).

@@ -24,9 +24,10 @@
 //!
 //! # Fault tolerance
 //!
-//! Every entry point has a `*_with_faults` variant taking a
-//! [`FaultInjector`] (see [`mrmc_chaos`]). The plain variants run with
-//! [`NoFaults`]. The recovery mechanics are *real*, not accounting:
+//! A job consults the [`FaultInjector`] carried on its
+//! [`JobConfig::faults`] (see [`mrmc_chaos`]); without one it runs
+//! under [`NoFaults`]. The recovery mechanics are *real*, not
+//! accounting:
 //!
 //! * a panicking task attempt (injected or genuine) is retried up to
 //!   [`crate::job::JobConfig::max_attempts`] times; exhausted budgets
@@ -564,90 +565,162 @@ fn tasks_lost_to(deaths: &[usize], num_tasks: usize, nodes: usize) -> Vec<usize>
         .collect()
 }
 
-/// Consult the injector for node deaths, blacklist them, and
-/// re-execute the map tasks whose output died. Returns an error only
-/// if every virtual node died.
-fn recover_node_deaths<T, F>(
-    outputs: &mut [T],
-    recovery: &mut RecoveryCounters,
-    config: &JobConfig,
+/// One job's execution context, shared by all of its phase passes:
+/// the effective fault injector, the worker pool size, and the trace
+/// context.
+struct JobRun<'a> {
+    config: &'a JobConfig,
+    injector: &'a dyn FaultInjector,
     workers: usize,
-    injector: &dyn FaultInjector,
-    trace: &mut Option<TraceCtx<'_>>,
-    f: F,
-) -> Result<(), MrError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let nodes = config.virtual_nodes.max(1);
-    let mut deaths: Vec<usize> = injector
-        .node_deaths_after_map()
-        .into_iter()
-        .filter(|&d| d < nodes)
-        .collect();
-    deaths.sort_unstable();
-    deaths.dedup();
-    if deaths.is_empty() {
-        return Ok(());
-    }
-    if let Some(ctx) = trace {
-        let now = ctx.tracer.now_ns();
-        for &d in &deaths {
-            ctx.event("node_death", now, vec![("node".into(), d.to_string())]);
+    trace: Option<TraceCtx<'a>>,
+}
+
+impl<'a> JobRun<'a> {
+    /// Start a job: announce it to the injector and open its trace job.
+    fn begin(config: &'a JobConfig) -> JobRun<'a> {
+        let injector = config.faults.as_deref().unwrap_or(&NoFaults);
+        injector.begin_job(&config.name);
+        JobRun {
+            config,
+            injector,
+            workers: config.worker_threads.unwrap_or_else(default_workers),
+            trace: config
+                .tracer
+                .as_deref()
+                .map(|t| TraceCtx::begin(t, &config.name)),
         }
     }
-    if deaths.len() >= nodes {
-        return Err(MrError::BadConfig(format!(
-            "chaos: all {nodes} virtual nodes died; no survivors to re-run on"
-        )));
+
+    /// Split `input` into the map tasks' chunks, recording the setup
+    /// span (`reducers` is `None` for a map-only job). Chunks are
+    /// Arc-shared: every attempt (retry, speculative backup,
+    /// post-death re-execution) reads the same buffer through its own
+    /// handle instead of cloning the chunk.
+    fn chunks<T>(
+        &self,
+        input: Vec<T>,
+        num_map_tasks: usize,
+        reducers: Option<usize>,
+    ) -> Vec<Arc<[T]>> {
+        let setup_start = self.trace.as_ref().map(|ctx| ctx.tracer.now_ns());
+        let chunks: Vec<Arc<[T]>> = chunk_input(input, num_map_tasks)
+            .into_iter()
+            .map(Arc::from)
+            .collect();
+        if let (Some(ctx), Some(t0)) = (&self.trace, setup_start) {
+            let now = ctx.tracer.now_ns();
+            let mut draft = SpanDraft::new(ctx.job, "job:setup", Category::Overhead)
+                .at(t0, now.saturating_sub(t0))
+                .meta("map_tasks", chunks.len());
+            if let Some(reducers) = reducers {
+                draft = draft.meta("reducers", reducers);
+            }
+            ctx.tracer.add_span(draft);
+        }
+        chunks
     }
-    let lost = tasks_lost_to(&deaths, outputs.len(), nodes);
-    if lost.is_empty() {
-        return Ok(());
-    }
-    // Surviving nodes re-run the lost maps; attempt ordinals are
-    // offset past the primary pass so the injector can tell them
-    // apart.
-    let attempt_offset = config.max_attempts + 2;
-    let redo = run_phase(
-        &PhaseSpec {
-            phase: Phase::Map,
-            threads: workers,
-            attempts: config.max_attempts,
+
+    /// Parameters of one `phase` pass, attempt ordinals shifted by
+    /// `attempt_offset`.
+    fn spec(&self, phase: Phase, attempt_offset: usize) -> PhaseSpec<'a> {
+        PhaseSpec {
+            phase,
+            threads: self.workers,
+            attempts: self.config.max_attempts,
             attempt_offset,
-            speculate: config.speculative,
-            injector,
-        },
-        &lost,
-        f,
-    )?;
-    if let Some(ctx) = trace {
-        let now = ctx.tracer.now_ns();
-        for &task in &lost {
-            ctx.event(
-                "map_reexec",
-                now,
-                vec![
-                    ("task".into(), task.to_string()),
-                    ("cause".into(), "node_loss".into()),
-                ],
+            speculate: self.config.speculative,
+            injector: self.injector,
+        }
+    }
+
+    /// Run all `tasks` map tasks, then re-execute those whose output
+    /// died with a node at the map→reduce barrier.
+    fn map_phase<T, F>(&mut self, tasks: usize, f: F) -> Result<PhaseOutput<T>, MrError>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let ids: Vec<usize> = (0..tasks).collect();
+        let mut pass = run_phase(&self.spec(Phase::Map, 0), &ids, &f)?;
+        if let Some(ctx) = &mut self.trace {
+            ctx.emit_phase(Phase::Map, None, 0, &pass.attempts, &[]);
+        }
+        self.recover_node_deaths(&mut pass.results, &mut pass.recovery, &f)?;
+        Ok(pass)
+    }
+
+    /// Consult the injector for node deaths, blacklist them, and
+    /// re-execute the map tasks whose output died. Returns an error
+    /// only if every virtual node died.
+    fn recover_node_deaths<T, F>(
+        &mut self,
+        outputs: &mut [T],
+        recovery: &mut RecoveryCounters,
+        f: F,
+    ) -> Result<(), MrError>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let nodes = self.config.virtual_nodes.max(1);
+        let mut deaths: Vec<usize> = self
+            .injector
+            .node_deaths_after_map()
+            .into_iter()
+            .filter(|&d| d < nodes)
+            .collect();
+        deaths.sort_unstable();
+        deaths.dedup();
+        if deaths.is_empty() {
+            return Ok(());
+        }
+        if let Some(ctx) = &self.trace {
+            let now = ctx.tracer.now_ns();
+            for &d in &deaths {
+                ctx.event("node_death", now, vec![("node".into(), d.to_string())]);
+            }
+        }
+        if deaths.len() >= nodes {
+            return Err(MrError::BadConfig(format!(
+                "chaos: all {nodes} virtual nodes died; no survivors to re-run on"
+            )));
+        }
+        let lost = tasks_lost_to(&deaths, outputs.len(), nodes);
+        if lost.is_empty() {
+            return Ok(());
+        }
+        // Surviving nodes re-run the lost maps; attempt ordinals are
+        // offset past the primary pass so the injector can tell them
+        // apart.
+        let attempt_offset = self.config.max_attempts + 2;
+        let redo = run_phase(&self.spec(Phase::Map, attempt_offset), &lost, f)?;
+        if let Some(ctx) = &mut self.trace {
+            let now = ctx.tracer.now_ns();
+            for &task in &lost {
+                ctx.event(
+                    "map_reexec",
+                    now,
+                    vec![
+                        ("task".into(), task.to_string()),
+                        ("cause".into(), "node_loss".into()),
+                    ],
+                );
+            }
+            ctx.emit_phase(
+                Phase::Map,
+                Some("node_loss"),
+                attempt_offset,
+                &redo.attempts,
+                &[],
             );
         }
-        ctx.emit_phase(
-            Phase::Map,
-            Some("node_loss"),
-            attempt_offset,
-            &redo.attempts,
-            &[],
-        );
+        recovery.merge(&redo.recovery);
+        recovery.maps_reexecuted_node_loss += lost.len() as u64;
+        for (&slot, out) in lost.iter().zip(redo.results) {
+            outputs[slot] = out;
+        }
+        Ok(())
     }
-    recovery.merge(&redo.recovery);
-    recovery.maps_reexecuted_node_loss += lost.len() as u64;
-    for (&slot, out) in lost.iter().zip(redo.results) {
-        outputs[slot] = out;
-    }
-    Ok(())
 }
 
 /// The contiguous near-equal ranges `chunk_input` splits a `len`-record
@@ -750,7 +823,10 @@ struct MapTaskOutput<K, V> {
 
 /// Run the map phase only; returns the concatenated mapper output in
 /// task order (no shuffle, no reduce). Useful for `FOREACH`-style
-/// record-parallel transforms that Pig lowers to map-only jobs.
+/// record-parallel transforms that Pig lowers to map-only jobs. Map
+/// outputs count as node-local until the job commits, so a node death
+/// at the end of the map phase re-executes that node's tasks even in a
+/// map-only job.
 pub fn run_map_only<M>(
     input: Vec<(M::InKey, M::InValue)>,
     num_map_tasks: usize,
@@ -762,46 +838,8 @@ where
     M::InKey: Clone + Sync,
     M::InValue: Clone + Sync,
 {
-    run_map_only_with_faults(input, num_map_tasks, mapper, config, &NoFaults)
-}
-
-/// [`run_map_only`] under a fault injector. Map outputs count as
-/// node-local until the job commits, so a node death at the end of the
-/// map phase re-executes that node's tasks even in a map-only job.
-pub fn run_map_only_with_faults<M>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    config: &JobConfig,
-    injector: &dyn FaultInjector,
-) -> Result<JobResult<M::OutKey, M::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-{
-    injector.begin_job(&config.name);
-    let workers = config.worker_threads.unwrap_or_else(default_workers);
-    let mut trace = config
-        .tracer
-        .as_deref()
-        .map(|t| TraceCtx::begin(t, &config.name));
-    let setup_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
-    // Chunks are Arc-shared: every attempt (retry, speculative backup,
-    // post-death re-execution) reads the same buffer through its own
-    // handle instead of cloning the chunk.
-    let chunks: Vec<SharedChunk<M>> = chunk_input(input, num_map_tasks)
-        .into_iter()
-        .map(Arc::from)
-        .collect();
-    if let (Some(ctx), Some(t0)) = (&trace, setup_start) {
-        let now = ctx.tracer.now_ns();
-        ctx.tracer.add_span(
-            SpanDraft::new(ctx.job, "job:setup", Category::Overhead)
-                .at(t0, now.saturating_sub(t0))
-                .meta("map_tasks", chunks.len()),
-        );
-    }
+    let mut job = JobRun::begin(config);
+    let chunks: Vec<SharedChunk<M>> = job.chunks(input, num_map_tasks, None);
 
     let map_task = |i: usize| {
         let chunk = Arc::clone(&chunks[i]);
@@ -821,51 +859,16 @@ where
         (pairs, stats, counters)
     };
 
-    let ids: Vec<usize> = (0..chunks.len()).collect();
-    let map_phase = run_phase(
-        &PhaseSpec {
-            phase: Phase::Map,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset: 0,
-            speculate: config.speculative,
-            injector,
-        },
-        &ids,
-        map_task,
-    )?;
-    let mut outputs = map_phase.results;
-    let mut recovery = map_phase.recovery;
-    if let Some(ctx) = &mut trace {
-        ctx.emit_phase(Phase::Map, None, 0, &map_phase.attempts, &[]);
-    }
-    recover_node_deaths(
-        &mut outputs,
-        &mut recovery,
-        config,
-        workers,
-        injector,
-        &mut trace,
-        map_task,
-    )?;
+    let map_phase = job.map_phase(chunks.len(), map_task)?;
 
     let counters = Counters::new();
-    counters.add("TASK_RETRIES", recovery.tasks_retried);
     let mut all = Vec::new();
     let mut map_stats = Vec::new();
-    for (pairs, stats, task_counters) in outputs {
+    for (pairs, stats, task_counters) in map_phase.results {
         counters.merge(&task_counters);
-        counters.add("MAP_INPUT_RECORDS", stats.records_in);
-        counters.add("MAP_OUTPUT_RECORDS", stats.records_out);
         map_stats.push(stats);
         all.extend(pairs);
     }
-    // Map-only jobs shuffle nothing, but report the shuffle counters
-    // anyway so every JobResult snapshot carries the same key set
-    // (consumers iterate counters uniformly across stage kinds).
-    counters.add("SHUFFLED_PAIRS", 0);
-    counters.add("SHUFFLE_BYTES", 0);
-    counters.add("SHUFFLE_RUNS", 0);
     Ok(JobResult {
         output: all,
         counters,
@@ -874,129 +877,9 @@ where
         shuffled_pairs: 0,
         shuffled_bytes: 0,
         shuffle_runs: 0,
-        recovery,
+        recovery: map_phase.recovery,
     })
 }
-
-/// Run a full map → shuffle → reduce job without a combiner.
-pub fn run_job<M, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    reducer: &R,
-    config: &JobConfig,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        None::<&NoCombiner<M::OutKey, M::OutValue>>,
-        reducer,
-        config,
-        &NoFaults,
-    )
-}
-
-/// [`run_job`] under a fault injector.
-pub fn run_job_with_faults<M, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    reducer: &R,
-    config: &JobConfig,
-    injector: &dyn FaultInjector,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        None::<&NoCombiner<M::OutKey, M::OutValue>>,
-        reducer,
-        config,
-        injector,
-    )
-}
-
-/// Run a full job with a combiner applied to each map task's local
-/// output before the shuffle.
-pub fn run_job_with_combiner<M, C, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    config: &JobConfig,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        Some(combiner),
-        reducer,
-        config,
-        &NoFaults,
-    )
-}
-
-/// [`run_job_with_combiner`] under a fault injector.
-pub fn run_job_with_combiner_and_faults<M, C, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    config: &JobConfig,
-    injector: &dyn FaultInjector,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        Some(combiner),
-        reducer,
-        config,
-        injector,
-    )
-}
-
-/// A never-instantiated combiner standing in for `None`. The
-/// `fn() -> _` phantom keeps it `Send + Sync` regardless of `K`/`V`.
-struct NoCombiner<K, V>(std::marker::PhantomData<fn() -> (K, V)>);
-impl<K: crate::job::MrKey, V: crate::job::MrValue> Combiner for NoCombiner<K, V> {
-    type Key = K;
-    type Value = V;
-    fn combine(&self, _key: &K, values: Vec<V>) -> Vec<V> {
-        values
-    }
-}
-// PhantomData<(K,V)> is not Send/Sync-friendly for raw pointers, but
-// K/V here are Send so the auto-impls apply.
 
 /// Map-side spill-buffer pool: emit buffers and grouping maps from
 /// finished map tasks are recycled into later tasks on the same job,
@@ -1036,52 +919,31 @@ impl<K, V> SpillPool<K, V> {
     }
 }
 
-fn run_job_impl<M, C, R>(
+/// Run a full map → shuffle → reduce job. A `combiner`, when given,
+/// runs on each map task's local output before the shuffle (Hadoop's
+/// combine-on-spill).
+pub fn run_job<M, R>(
     input: Vec<(M::InKey, M::InValue)>,
     num_map_tasks: usize,
     mapper: &M,
-    combiner: Option<&C>,
+    combiner: Option<&dyn Combiner<Key = M::OutKey, Value = M::OutValue>>,
     reducer: &R,
     config: &JobConfig,
-    injector: &dyn FaultInjector,
 ) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
 where
     M: Mapper,
     M::InKey: Clone + Sync,
     M::InValue: Clone + Sync,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
     R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
 {
     if config.num_reducers == 0 {
         return Err(MrError::BadConfig("num_reducers must be ≥ 1".into()));
     }
-    injector.begin_job(&config.name);
     let reducers = config.num_reducers;
-    let workers = config.worker_threads.unwrap_or_else(default_workers);
-    let mut trace = config
-        .tracer
-        .as_deref()
-        .map(|t| TraceCtx::begin(t, &config.name));
-    let setup_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
+    let mut job = JobRun::begin(config);
 
-    // ---- Map phase ----
-    // Chunks are Arc-shared: every attempt (retry, speculative backup,
-    // post-death re-execution) reads the same buffer through its own
-    // handle instead of cloning the chunk.
-    let chunks: Vec<SharedChunk<M>> = chunk_input(input, num_map_tasks)
-        .into_iter()
-        .map(Arc::from)
-        .collect();
-    if let (Some(ctx), Some(t0)) = (&trace, setup_start) {
-        let now = ctx.tracer.now_ns();
-        ctx.tracer.add_span(
-            SpanDraft::new(ctx.job, "job:setup", Category::Overhead)
-                .at(t0, now.saturating_sub(t0))
-                .meta("map_tasks", chunks.len())
-                .meta("reducers", reducers),
-        );
-    }
-
+    // ---- Map phase (with node deaths at the map→reduce barrier) ----
+    let chunks: Vec<SharedChunk<M>> = job.chunks(input, num_map_tasks, Some(reducers));
     let spill_pool: SpillPool<M::OutKey, M::OutValue> = SpillPool::new();
     let map_task = |i: usize| {
         let chunk = Arc::clone(&chunks[i]);
@@ -1121,7 +983,7 @@ where
             // Price the group exactly as the sort-merge run frames it:
             // the key once, a varint value count, then each surviving
             // value. (The old per-pair pricing charged the key once per
-            // *value*, overstating SHUFFLE_BYTES for every multi-value
+            // *value*, overstating the shuffled bytes of every multi-value
             // group.)
             bytes += (mapper.key_wire_size(&k) + crate::wire::uvarint_len(vs.len() as u64)) as u64;
             for v in &vs {
@@ -1156,35 +1018,9 @@ where
         }
     };
 
-    let ids: Vec<usize> = (0..chunks.len()).collect();
-    let map_phase = run_phase(
-        &PhaseSpec {
-            phase: Phase::Map,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset: 0,
-            speculate: config.speculative,
-            injector,
-        },
-        &ids,
-        map_task,
-    )?;
+    let map_phase = job.map_phase(chunks.len(), map_task)?;
     let mut map_outputs = map_phase.results;
     let mut recovery = map_phase.recovery;
-    if let Some(ctx) = &mut trace {
-        ctx.emit_phase(Phase::Map, None, 0, &map_phase.attempts, &[]);
-    }
-
-    // ---- Node deaths at the map→reduce barrier ----
-    recover_node_deaths(
-        &mut map_outputs,
-        &mut recovery,
-        config,
-        workers,
-        injector,
-        &mut trace,
-        map_task,
-    )?;
 
     // ---- Shuffle fetch failures ----
     // Each (map, partition) fetch is retried; past the limit the map
@@ -1193,12 +1029,12 @@ where
     for m in 0..map_outputs.len() {
         let mut lost = false;
         for p in 0..reducers {
-            let fails = injector.shuffle_fetch_failures(m, p);
+            let fails = job.injector.shuffle_fetch_failures(m, p);
             if fails == 0 {
                 continue;
             }
             recovery.shuffle_fetch_retries += u64::from(fails.min(FETCH_RETRY_LIMIT));
-            if let Some(ctx) = &trace {
+            if let Some(ctx) = &job.trace {
                 ctx.event(
                     "fetch_retry",
                     ctx.tracer.now_ns(),
@@ -1219,19 +1055,8 @@ where
     }
     for m in lost_maps {
         let attempt_offset = config.max_attempts + 8;
-        let redo = run_phase(
-            &PhaseSpec {
-                phase: Phase::Map,
-                threads: workers,
-                attempts: config.max_attempts,
-                attempt_offset,
-                speculate: config.speculative,
-                injector,
-            },
-            &[m],
-            map_task,
-        )?;
-        if let Some(ctx) = &mut trace {
+        let redo = run_phase(&job.spec(Phase::Map, attempt_offset), &[m], map_task)?;
+        if let Some(ctx) = &mut job.trace {
             ctx.event(
                 "map_reexec",
                 ctx.tracer.now_ns(),
@@ -1265,14 +1090,12 @@ where
     let mut shuffled_pairs = 0u64;
     let mut shuffled_bytes = 0u64;
     let mut shuffle_runs = 0u64;
-    let shuffle_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
+    let shuffle_start = job.trace.as_ref().map(|ctx| ctx.tracer.now_ns());
     for out in map_outputs {
         counters.merge(&out.counters);
-        counters.add("MAP_INPUT_RECORDS", out.stats.records_in);
-        counters.add("MAP_OUTPUT_RECORDS", out.stats.records_out);
         shuffled_pairs += out.stats.records_out;
         shuffled_bytes += out.bytes;
-        if let Some(ctx) = &trace {
+        if let Some(ctx) = &job.trace {
             if combiner.is_some() {
                 ctx.event(
                     "combine",
@@ -1292,7 +1115,7 @@ where
                 continue;
             }
             shuffle_runs += 1;
-            if let Some(ctx) = &trace {
+            if let Some(ctx) = &job.trace {
                 ctx.event(
                     "shuffle_run",
                     ctx.tracer.now_ns(),
@@ -1306,10 +1129,7 @@ where
             partition_slots[p].push(run);
         }
     }
-    counters.add("SHUFFLED_PAIRS", shuffled_pairs);
-    counters.add("SHUFFLE_BYTES", shuffled_bytes);
-    counters.add("SHUFFLE_RUNS", shuffle_runs);
-    let shuffle_span = trace.as_ref().zip(shuffle_start).map(|(ctx, t0)| {
+    let shuffle_span = job.trace.as_ref().zip(shuffle_start).map(|(ctx, t0)| {
         let now = ctx.tracer.now_ns();
         ctx.tracer.add_span(
             SpanDraft::new(ctx.job, "shuffle", Category::Shuffle)
@@ -1346,31 +1166,17 @@ where
     };
 
     let reduce_ids: Vec<usize> = (0..reducers).collect();
-    let reduce_phase = run_phase(
-        &PhaseSpec {
-            phase: Phase::Reduce,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset: 0,
-            speculate: config.speculative,
-            injector,
-        },
-        &reduce_ids,
-        reduce_task,
-    )?;
+    let reduce_phase = run_phase(&job.spec(Phase::Reduce, 0), &reduce_ids, reduce_task)?;
     recovery.merge(&reduce_phase.recovery);
-    if let Some(ctx) = &mut trace {
+    if let Some(ctx) = &mut job.trace {
         let barrier: Vec<SpanId> = shuffle_span.into_iter().collect();
         ctx.emit_phase(Phase::Reduce, None, 0, &reduce_phase.attempts, &barrier);
     }
 
-    counters.add("TASK_RETRIES", recovery.tasks_retried);
     let mut output = Vec::new();
     let mut reduce_stats = Vec::with_capacity(reducers);
     for (out, stats, task_counters) in reduce_phase.results {
         counters.merge(&task_counters);
-        counters.add("REDUCE_INPUT_RECORDS", stats.records_in);
-        counters.add("REDUCE_OUTPUT_RECORDS", stats.records_out);
         reduce_stats.push(stats);
         output.extend(out);
     }
@@ -1456,10 +1262,11 @@ mod tests {
     #[test]
     fn word_count_end_to_end() {
         let cfg = JobConfig::named("wc").reducers(3).workers(4);
-        let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = run_job(wc_input(), 2, &WcMapper, None, &SumReducer, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
         assert_eq!(result.counters.get("lines"), 3);
-        assert_eq!(result.counters.get("MAP_INPUT_RECORDS"), 3);
+        let records_in: u64 = result.map_stats.iter().map(|t| t.records_in).sum();
+        assert_eq!(records_in, 3);
         assert_eq!(result.map_stats.len(), 2);
         assert_eq!(result.reduce_stats.len(), 3);
         assert!(result.recovery.is_clean());
@@ -1468,10 +1275,16 @@ mod tests {
     #[test]
     fn combiner_reduces_shuffle_volume_same_answer() {
         let cfg = JobConfig::named("wc").reducers(2).workers(2);
-        let plain = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
-        let combined =
-            run_job_with_combiner(wc_input(), 3, &WcMapper, &SumCombiner, &SumReducer, &cfg)
-                .unwrap();
+        let plain = run_job(wc_input(), 3, &WcMapper, None, &SumReducer, &cfg).unwrap();
+        let combined = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            Some(&SumCombiner),
+            &SumReducer,
+            &cfg,
+        )
+        .unwrap();
         assert_eq!(sorted(plain.output), sorted(combined.output));
         assert!(
             combined.shuffled_pairs <= plain.shuffled_pairs,
@@ -1488,7 +1301,7 @@ mod tests {
             .map(|&w| {
                 let cfg = JobConfig::named("wc").reducers(4).workers(w);
                 sorted(
-                    run_job(wc_input(), 4, &WcMapper, &SumReducer, &cfg)
+                    run_job(wc_input(), 4, &WcMapper, None, &SumReducer, &cfg)
                         .unwrap()
                         .output,
                 )
@@ -1501,14 +1314,14 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         let cfg = JobConfig::named("wc").reducers(2);
-        let result = run_job(Vec::new(), 4, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = run_job(Vec::new(), 4, &WcMapper, None, &SumReducer, &cfg).unwrap();
         assert!(result.output.is_empty());
     }
 
     #[test]
     fn more_reducers_than_keys_is_fine() {
         let cfg = JobConfig::named("wc").reducers(64);
-        let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = run_job(wc_input(), 2, &WcMapper, None, &SumReducer, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
     }
 
@@ -1516,7 +1329,7 @@ mod tests {
     fn zero_reducers_rejected() {
         let cfg = JobConfig::named("bad").reducers(0);
         assert!(matches!(
-            run_job(wc_input(), 1, &WcMapper, &SumReducer, &cfg),
+            run_job(wc_input(), 1, &WcMapper, None, &SumReducer, &cfg),
             Err(MrError::BadConfig(_))
         ));
     }
@@ -1556,7 +1369,7 @@ mod tests {
             }
         }
         let cfg = JobConfig::named("boom").reducers(1).workers(2);
-        match run_job(wc_input(), 3, &Bomb, &SumReducer, &cfg) {
+        match run_job(wc_input(), 3, &Bomb, None, &SumReducer, &cfg) {
             Err(MrError::TaskFailed {
                 phase,
                 message,
@@ -1587,7 +1400,7 @@ mod tests {
         }
         for workers in [1, 2, 8] {
             let cfg = JobConfig::named("boom").reducers(1).workers(workers);
-            match run_job(wc_input(), 3, &AllBomb, &SumReducer, &cfg) {
+            match run_job(wc_input(), 3, &AllBomb, None, &SumReducer, &cfg) {
                 Err(MrError::TaskFailed { task, .. }) => assert_eq!(task, 0, "workers={workers}"),
                 other => panic!("unexpected: {other:?}"),
             }
@@ -1629,7 +1442,7 @@ mod tests {
             failures_left: AtomicU32::new(2),
         };
         let cfg = JobConfig::named("flaky").reducers(2).workers(1);
-        assert!(run_job(wc_input(), 2, &flaky, &SumReducer, &cfg).is_err());
+        assert!(run_job(wc_input(), 2, &flaky, None, &SumReducer, &cfg).is_err());
 
         // With an attempt budget: the job recovers and the answer is
         // exactly the clean run's.
@@ -1637,9 +1450,8 @@ mod tests {
             failures_left: AtomicU32::new(2),
         };
         let cfg = JobConfig::named("flaky").reducers(2).workers(1).attempts(4);
-        let result = run_job(wc_input(), 2, &flaky, &SumReducer, &cfg).unwrap();
+        let result = run_job(wc_input(), 2, &flaky, None, &SumReducer, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
-        assert!(result.counters.get("TASK_RETRIES") >= 1);
         assert!(result.recovery.tasks_retried >= 1);
     }
 
@@ -1685,7 +1497,7 @@ mod tests {
     fn reduce_output_sorted_within_partition() {
         // With one reducer, all output keys arrive sorted.
         let cfg = JobConfig::named("sorted").reducers(1);
-        let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = run_job(wc_input(), 2, &WcMapper, None, &SumReducer, &cfg).unwrap();
         let keys: Vec<&String> = result.output.iter().map(|(k, _)| k).collect();
         let mut expect = keys.clone();
         expect.sort();
@@ -1697,17 +1509,23 @@ mod tests {
     #[test]
     fn injected_panics_recovered_identically() {
         let cfg = JobConfig::named("wc").reducers(3).workers(4).attempts(4);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = run_job(wc_input(), 3, &WcMapper, None, &SumReducer, &cfg).unwrap();
         let inj = FaultPlan::new()
             .task_panic(0, Phase::Map, 0, 2)
             .task_panic(0, Phase::Map, 2, 1)
             .task_panic(0, Phase::Reduce, 1, 1)
             .injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            None,
+            &SumReducer,
+            &cfg.faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.tasks_retried, 4);
-        assert_eq!(chaotic.counters.get("TASK_RETRIES"), 4);
     }
 
     #[test]
@@ -1716,7 +1534,14 @@ mod tests {
         let inj = FaultPlan::new()
             .task_panic(0, Phase::Map, 1, usize::MAX)
             .injector();
-        match run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj) {
+        match run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            None,
+            &SumReducer,
+            &cfg.faults(Arc::new(inj)),
+        ) {
             Err(MrError::TaskFailed {
                 phase,
                 task,
@@ -1735,12 +1560,19 @@ mod tests {
     #[test]
     fn node_death_reexecutes_its_maps() {
         let cfg = JobConfig::named("wc").reducers(3).workers(4).nodes(3);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = run_job(wc_input(), 3, &WcMapper, None, &SumReducer, &cfg).unwrap();
         // Node 1 held map task 1 (task % 3 nodes); killing it at the
         // barrier forces one re-execution.
         let inj = FaultPlan::new().node_death_after_map(0, 1).injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            None,
+            &SumReducer,
+            &cfg.faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.maps_reexecuted_node_loss, 1);
     }
@@ -1753,7 +1585,14 @@ mod tests {
             .node_death_after_map(0, 1)
             .injector();
         assert!(matches!(
-            run_job_with_faults(wc_input(), 2, &WcMapper, &SumReducer, &cfg, &inj),
+            run_job(
+                wc_input(),
+                2,
+                &WcMapper,
+                None,
+                &SumReducer,
+                &cfg.faults(Arc::new(inj))
+            ),
             Err(MrError::BadConfig(_))
         ));
     }
@@ -1761,12 +1600,19 @@ mod tests {
     #[test]
     fn speculative_backup_wins_over_straggler() {
         let cfg = JobConfig::named("wc").reducers(2).workers(4);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = run_job(wc_input(), 3, &WcMapper, None, &SumReducer, &cfg).unwrap();
         let inj = FaultPlan::new()
             .task_slowdown(0, Phase::Map, 1, 30)
             .injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            None,
+            &SumReducer,
+            &cfg.faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.speculative_wins, 1);
     }
@@ -1780,8 +1626,15 @@ mod tests {
         let inj = FaultPlan::new()
             .task_slowdown(0, Phase::Map, 1, 10)
             .injector();
-        let result =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let result = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            None,
+            &SumReducer,
+            &cfg.faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(result.output), expected_wc());
         assert_eq!(result.recovery.speculative_wins, 0);
     }
@@ -1789,15 +1642,22 @@ mod tests {
     #[test]
     fn fetch_failures_retry_then_reexecute() {
         let cfg = JobConfig::named("wc").reducers(2).workers(2);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = run_job(wc_input(), 3, &WcMapper, None, &SumReducer, &cfg).unwrap();
         // 2 failures: retried, output kept. 5 failures: output lost,
         // map 1 re-executed.
         let inj = FaultPlan::new()
             .shuffle_fetch_fail(0, 0, 1, 2)
             .shuffle_fetch_fail(0, 1, 0, 5)
             .injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            None,
+            &SumReducer,
+            &cfg.faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.shuffle_fetch_retries, 2 + 3);
         assert_eq!(chaotic.recovery.maps_reexecuted_fetch_fail, 1);
@@ -1818,8 +1678,15 @@ mod tests {
                 .attempts(3)
                 .nodes(4);
             let inj = plan.clone().injector();
-            let result =
-                run_job_with_faults(wc_input(), 4, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+            let result = run_job(
+                wc_input(),
+                4,
+                &WcMapper,
+                None,
+                &SumReducer,
+                &cfg.faults(Arc::new(inj)),
+            )
+            .unwrap();
             assert_eq!(sorted(result.output), expected_wc());
             ledgers.push(result.recovery);
         }

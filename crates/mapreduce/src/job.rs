@@ -335,6 +335,10 @@ pub struct JobConfig {
     /// recovery actions into the shared ledger (our JobHistory
     /// analogue — see `mrmc_obs`).
     pub tracer: Option<std::sync::Arc<mrmc_obs::Tracer>>,
+    /// Optional fault injector the engine consults at every hook point
+    /// (task attempts, the map→reduce barrier, shuffle fetches). `None`
+    /// runs fault-free; see [`mrmc_chaos`].
+    pub faults: Option<std::sync::Arc<dyn mrmc_chaos::FaultInjector>>,
 }
 
 impl JobConfig {
@@ -349,6 +353,7 @@ impl JobConfig {
             virtual_nodes: 8,
             speculative: true,
             tracer: None,
+            faults: None,
         }
     }
 
@@ -385,6 +390,12 @@ impl JobConfig {
     /// Builder-style trace sink.
     pub fn traced(mut self, tracer: std::sync::Arc<mrmc_obs::Tracer>) -> JobConfig {
         self.tracer = Some(tracer);
+        self
+    }
+
+    /// Builder-style fault injector.
+    pub fn faults(mut self, injector: std::sync::Arc<dyn mrmc_chaos::FaultInjector>) -> JobConfig {
+        self.faults = Some(injector);
         self
     }
 }

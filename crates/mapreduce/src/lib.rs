@@ -27,9 +27,11 @@
 //! onto a virtual 2–12 node Hadoop deployment.
 //!
 //! Fault injection and recovery live in the [`mrmc_chaos`] crate
-//! (re-exported here as [`chaos`]): every entry point has a
-//! `*_with_faults` variant taking a [`FaultInjector`], and the engine
-//! and DFS implement the *real* recovery Hadoop would perform — task
+//! (re-exported here as [`chaos`]): a job consults the
+//! [`FaultInjector`] on its [`JobConfig::faults`](job::JobConfig::faults)
+//! (or [`Pipeline::faults`](pipeline::Pipeline::faults) for every stage
+//! of a chain, [`Dfs::with_injector`] for the filesystem), and the
+//! engine and DFS implement the *real* recovery Hadoop would perform — task
 //! retries, speculative backups, lost-map-output re-execution after a
 //! node death, checksum fallback and re-replication — with the tally
 //! surfaced as [`RecoveryCounters`] on job results.
@@ -40,8 +42,8 @@
 //! [`Pipeline::traced`](pipeline::Pipeline::traced) and the engine
 //! records task attempt lifecycle, shuffle movement and every
 //! recovery action as a deterministic span ledger; the simulated
-//! cluster produces an equivalent simulated-time trace
-//! ([`ClusterSpec::simulate_job_traced`]).
+//! cluster produces an equivalent simulated-time trace when
+//! [`ClusterSpec::simulate_job`] is handed one.
 
 pub mod dfs;
 pub mod engine;
@@ -55,9 +57,7 @@ pub use mrmc_chaos as chaos;
 pub use mrmc_obs as obs;
 
 pub use dfs::{Dfs, DfsConfig, FastaSplitReader, InputSplit};
-pub use engine::{
-    chunk_ranges, run_job, run_job_with_faults, run_map_only, run_map_only_with_faults,
-};
+pub use engine::{chunk_ranges, run_job, run_map_only};
 pub use error::MrError;
 pub use job::{
     Combiner, Counters, JobConfig, JobResult, Mapper, MrKey, MrValue, Reducer, ShuffleSized,

@@ -206,95 +206,50 @@ pub fn lpt_makespan(costs: &[f64], slots: usize) -> f64 {
 }
 
 impl ClusterSpec {
-    /// Simulate one job: map task costs, shuffled record count, reduce
-    /// task costs → phase times and total on this cluster.
+    /// Simulate one job: measured map task costs, the shuffle volume,
+    /// reduce task costs → phase times and total on this cluster.
+    ///
+    /// The shuffle is charged on all three [`ShuffleVolume`] axes
+    /// against per-node aggregate bandwidth: per record, per payload
+    /// byte, and per sorted map-side run a reducer fetches
+    /// ([`JobCostModel::shuffle_run_cost`]). Every retried or
+    /// re-executed map attempt in `recovery` is scheduled as an extra
+    /// mean-cost map task (the cluster really ran it), and the ledger
+    /// is carried on the report.
+    ///
+    /// With `trace = Some((tracer, job_name, start_s))` the simulation
+    /// is also written as a *simulated-time* trace: per-job overhead as
+    /// an explicit span, one launch-overhead + body span pair per
+    /// scheduled task slot (recovery re-executions categorized as
+    /// recovery work), a shuffle span depending on every map lane, and
+    /// reduce lanes depending on the shuffle. Timestamps are simulated
+    /// seconds rendered as nanoseconds since `start_s` — fully
+    /// deterministic, and the spans tile every loaded lane without
+    /// gaps, so the critical path reconstructs the report's makespan
+    /// exactly. The report is the same with or without a trace.
     pub fn simulate_job(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        shuffled_records: u64,
-        reduce_costs: &[f64],
-    ) -> SimJobReport {
-        self.simulate_job_recovered(
-            model,
-            map_costs,
-            shuffled_records,
-            reduce_costs,
-            mrmc_chaos::RecoveryCounters::new(),
-        )
-    }
-
-    /// [`ClusterSpec::simulate_job`] for a job that performed recovery
-    /// work: every retried or re-executed map attempt is scheduled as
-    /// an extra mean-cost map task (the cluster really ran it), and the
-    /// ledger is carried on the report. Shuffle volume is charged per
-    /// record only; see [`ClusterSpec::simulate_job_bytes`] for the
-    /// bandwidth-aware variant.
-    pub fn simulate_job_recovered(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        shuffled_records: u64,
-        reduce_costs: &[f64],
-        recovery: mrmc_chaos::RecoveryCounters,
-    ) -> SimJobReport {
-        self.simulate_job_bytes(
-            model,
-            map_costs,
-            shuffled_records,
-            0,
-            reduce_costs,
-            recovery,
-        )
-    }
-
-    /// Full-fidelity simulation: like
-    /// [`ClusterSpec::simulate_job_recovered`] but also charges the
-    /// shuffle's byte volume against per-node aggregate bandwidth, so
-    /// stages that move many narrow records price differently from
-    /// stages that move few wide ones.
-    pub fn simulate_job_bytes(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        shuffled_records: u64,
-        shuffled_bytes: u64,
-        reduce_costs: &[f64],
-        recovery: mrmc_chaos::RecoveryCounters,
-    ) -> SimJobReport {
-        self.simulate_job_shuffle(
-            model,
-            map_costs,
-            ShuffleVolume {
-                records: shuffled_records,
-                bytes: shuffled_bytes,
-                runs: 0,
-            },
-            reduce_costs,
-            recovery,
-        )
-    }
-
-    /// Like [`ClusterSpec::simulate_job_bytes`] but also charges the
-    /// per-fetch overhead of the copy phase: each sorted map-side run a
-    /// reducer pulls costs [`JobCostModel::shuffle_run_cost`] seconds of
-    /// aggregate cluster bandwidth on top of the record and byte terms.
-    /// This is the entry point fed by the engine's per-run accounting
-    /// ([`crate::JobResult::shuffle_runs`]).
-    pub fn simulate_job_shuffle(
         &self,
         model: &JobCostModel,
         map_costs: &[f64],
         volume: ShuffleVolume,
         reduce_costs: &[f64],
         recovery: mrmc_chaos::RecoveryCounters,
+        trace: Option<(&mrmc_obs::Tracer, &str, f64)>,
     ) -> SimJobReport {
         let eff = self.effective_costs(model, map_costs, reduce_costs, recovery);
-        let map_time = lpt_makespan(&eff.map_costs, self.map_slots());
-        let reduce_time = lpt_makespan(&eff.reduce_costs, self.reduce_slots());
+        let shuffle_time = self.shuffle_seconds(model, volume);
+        let (map_time, reduce_time) = match trace {
+            None => (
+                lpt_makespan(&eff.map_costs, self.map_slots()),
+                lpt_makespan(&eff.reduce_costs, self.reduce_slots()),
+            ),
+            Some((tracer, job_name, start_s)) => {
+                self.trace_job(model, &eff, volume, shuffle_time, tracer, job_name, start_s)
+            }
+        };
         SimJobReport {
             map_time,
-            shuffle_time: self.shuffle_seconds(model, volume),
+            shuffle_time,
             reduce_time,
             overhead: model.job_overhead,
             recovery,
@@ -358,32 +313,23 @@ impl ClusterSpec {
         }
     }
 
-    /// [`ClusterSpec::simulate_job_shuffle`] that also emits a
-    /// *simulated-time* trace into `tracer`: per-job overhead as an
-    /// explicit span, one launch-overhead + body span pair per
-    /// scheduled task slot (recovery re-executions categorized as
-    /// recovery work), a shuffle span depending on every map lane, and
-    /// reduce lanes depending on the shuffle. Timestamps are simulated
-    /// seconds rendered as nanoseconds since `start_s` — fully
-    /// deterministic, and the spans tile every loaded lane without
-    /// gaps, so the critical path reconstructs the report's makespan
-    /// exactly. Returns the same report `simulate_job_shuffle` would.
+    /// Emit the simulated-time trace of one job (see
+    /// [`ClusterSpec::simulate_job`]) and return its map and reduce
+    /// makespans.
     #[allow(clippy::too_many_arguments)]
-    pub fn simulate_job_traced(
+    fn trace_job(
         &self,
         model: &JobCostModel,
-        map_costs: &[f64],
+        eff: &EffectiveCosts,
         volume: ShuffleVolume,
-        reduce_costs: &[f64],
-        recovery: mrmc_chaos::RecoveryCounters,
+        shuffle_time: f64,
         tracer: &mrmc_obs::Tracer,
         job_name: &str,
         start_s: f64,
-    ) -> SimJobReport {
+    ) -> (f64, f64) {
         use mrmc_obs::{Category, SpanDraft, SpanId};
 
         let ns = |s: f64| -> u64 { (s * 1e9).round() as u64 };
-        let eff = self.effective_costs(model, map_costs, reduce_costs, recovery);
         let job = tracer.begin_job(job_name);
 
         let setup_end = start_s + model.job_overhead;
@@ -468,7 +414,6 @@ impl ClusterSpec {
             setup,
         );
 
-        let shuffle_time = self.shuffle_seconds(model, volume);
         let shuffle_start = setup_end + map_time;
         let shuffle = tracer.add_span(
             SpanDraft::new(job, "shuffle", Category::Shuffle)
@@ -496,14 +441,7 @@ impl ClusterSpec {
             None,
             shuffle,
         );
-
-        SimJobReport {
-            map_time,
-            shuffle_time,
-            reduce_time,
-            overhead: model.job_overhead,
-            recovery,
-        }
+        (map_time, reduce_time)
     }
 }
 
@@ -610,6 +548,25 @@ impl ClusterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrmc_chaos::RecoveryCounters;
+
+    impl ClusterSpec {
+        /// A fault-free, untraced job shuffling `records` pairs.
+        fn sim(
+            &self,
+            model: &JobCostModel,
+            map_costs: &[f64],
+            records: u64,
+            reduce_costs: &[f64],
+        ) -> SimJobReport {
+            let volume = ShuffleVolume {
+                records,
+                ..ShuffleVolume::default()
+            };
+            let clean = RecoveryCounters::new();
+            self.simulate_job(model, map_costs, volume, reduce_costs, clean, None)
+        }
+    }
 
     #[test]
     fn lpt_basics() {
@@ -643,7 +600,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for nodes in 2..=12 {
             let t = ClusterSpec::m1_large(nodes)
-                .simulate_job(&model, &map_costs, 1_000_000, &reduce_costs)
+                .sim(&model, &map_costs, 1_000_000, &reduce_costs)
                 .total();
             assert!(t <= prev + 1e-9, "nodes={nodes}: {t} > {prev}");
             prev = t;
@@ -656,10 +613,10 @@ mod tests {
         // 1000-read line).
         let model = JobCostModel::default();
         let t2 = ClusterSpec::m1_large(2)
-            .simulate_job(&model, &[0.5], 100, &[0.1])
+            .sim(&model, &[0.5], 100, &[0.1])
             .total();
         let t12 = ClusterSpec::m1_large(12)
-            .simulate_job(&model, &[0.5], 100, &[0.1])
+            .sim(&model, &[0.5], 100, &[0.1])
             .total();
         assert!((t2 - t12).abs() < 0.01, "t2={t2} t12={t12}");
     }
@@ -667,7 +624,7 @@ mod tests {
     #[test]
     fn overhead_floors_runtime() {
         let model = JobCostModel::default();
-        let r = ClusterSpec::m1_large(12).simulate_job(&model, &[], 0, &[]);
+        let r = ClusterSpec::m1_large(12).sim(&model, &[], 0, &[]);
         assert!((r.total() - model.job_overhead).abs() < 1e-12);
     }
 
@@ -677,8 +634,8 @@ mod tests {
             shuffle_record_cost: 1e-3,
             ..Default::default()
         };
-        let r4 = ClusterSpec::m1_large(4).simulate_job(&model, &[], 10_000, &[]);
-        let r8 = ClusterSpec::m1_large(8).simulate_job(&model, &[], 10_000, &[]);
+        let r4 = ClusterSpec::m1_large(4).sim(&model, &[], 10_000, &[]);
+        let r8 = ClusterSpec::m1_large(8).sim(&model, &[], 10_000, &[]);
         assert!((r4.shuffle_time / r8.shuffle_time - 2.0).abs() < 1e-9);
     }
 
@@ -748,9 +705,9 @@ mod tests {
         };
         let costs = vec![5.0; 16];
         let cluster = ClusterSpec::m1_large(4);
-        let clean = cluster.simulate_job(&base, &costs, 0, &[]).total();
-        let slow = cluster.simulate_job(&straggling, &costs, 0, &[]).total();
-        let rescued = cluster.simulate_job(&speculative, &costs, 0, &[]).total();
+        let clean = cluster.sim(&base, &costs, 0, &[]).total();
+        let slow = cluster.sim(&straggling, &costs, 0, &[]).total();
+        let rescued = cluster.sim(&speculative, &costs, 0, &[]).total();
         assert!(
             slow > clean * 1.5,
             "straggler must dominate: {slow} vs {clean}"
@@ -770,8 +727,8 @@ mod tests {
         let costs = vec![2.0, 3.0, 1.0];
         let c = ClusterSpec::m1_large(2);
         assert_eq!(
-            c.simulate_job(&base, &costs, 10, &[]).total(),
-            c.simulate_job(&with_spec, &costs, 10, &[]).total()
+            c.sim(&base, &costs, 10, &[]).total(),
+            c.sim(&with_spec, &costs, 10, &[]).total()
         );
     }
 
@@ -780,13 +737,14 @@ mod tests {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(2);
         let costs = vec![2.0; 8];
-        let clean = cluster.simulate_job(&model, &costs, 0, &[]);
-        let recovery = mrmc_chaos::RecoveryCounters {
+        let clean = cluster.sim(&model, &costs, 0, &[]);
+        let recovery = RecoveryCounters {
             tasks_retried: 2,
             maps_reexecuted_node_loss: 4,
-            ..mrmc_chaos::RecoveryCounters::new()
+            ..RecoveryCounters::new()
         };
-        let recovered = cluster.simulate_job_recovered(&model, &costs, 0, &[], recovery);
+        let none = ShuffleVolume::default();
+        let recovered = cluster.simulate_job(&model, &costs, none, &[], recovery, None);
         assert!(
             recovered.map_time > clean.map_time,
             "6 extra executions on 4 slots must lengthen the map phase"
@@ -794,13 +752,7 @@ mod tests {
         assert_eq!(recovered.recovery, recovery);
         assert!(clean.recovery.is_clean());
         // Zero recovery must be the identity.
-        let same = cluster.simulate_job_recovered(
-            &model,
-            &costs,
-            0,
-            &[],
-            mrmc_chaos::RecoveryCounters::new(),
-        );
+        let same = cluster.simulate_job(&model, &costs, none, &[], RecoveryCounters::new(), None);
         assert_eq!(same, clean);
     }
 
@@ -812,12 +764,17 @@ mod tests {
             ..Default::default()
         };
         let cluster = ClusterSpec::m1_large(4);
-        let clean = mrmc_chaos::RecoveryCounters::new();
-        let narrow = cluster.simulate_job_bytes(&model, &[], 1_000, 8_000, &[], clean);
-        let wide = cluster.simulate_job_bytes(&model, &[], 1_000, 80_000, &[], clean);
+        let clean = RecoveryCounters::new();
+        let vol = |bytes| ShuffleVolume {
+            records: 1_000,
+            bytes,
+            runs: 0,
+        };
+        let narrow = cluster.simulate_job(&model, &[], vol(8_000), &[], clean, None);
+        let wide = cluster.simulate_job(&model, &[], vol(80_000), &[], clean, None);
         assert!((wide.shuffle_time / narrow.shuffle_time - 10.0).abs() < 1e-9);
         // Zero bytes reduces to the record-only model.
-        let record_only = cluster.simulate_job(&model, &[], 1_000, &[]);
+        let record_only = cluster.sim(&model, &[], 1_000, &[]);
         assert_eq!(record_only.shuffle_time, 0.0);
     }
 
@@ -830,21 +787,21 @@ mod tests {
             ..Default::default()
         };
         let cluster = ClusterSpec::m1_large(4);
-        let clean = mrmc_chaos::RecoveryCounters::new();
+        let clean = RecoveryCounters::new();
         let vol = |runs| ShuffleVolume {
             records: 1_000,
             bytes: 8_000,
             runs,
         };
-        let few = cluster.simulate_job_shuffle(&model, &[], vol(8), &[], clean);
-        let many = cluster.simulate_job_shuffle(&model, &[], vol(80), &[], clean);
+        let few = cluster.simulate_job(&model, &[], vol(8), &[], clean, None);
+        let many = cluster.simulate_job(&model, &[], vol(80), &[], clean, None);
         assert!((many.shuffle_time / few.shuffle_time - 10.0).abs() < 1e-9);
-        // Zero runs reduces exactly to the bytes-aware model.
-        let zero = cluster.simulate_job_shuffle(&model, &[], vol(0), &[], clean);
-        let bytes_only = cluster.simulate_job_bytes(&model, &[], 1_000, 8_000, &[], clean);
-        assert_eq!(zero, bytes_only);
+        // Zero runs add nothing on top of the (here free) record and
+        // byte terms.
+        let zero = cluster.simulate_job(&model, &[], vol(0), &[], clean, None);
+        assert_eq!(zero.shuffle_time, 0.0);
         // The run term shares aggregate bandwidth: more nodes, faster copy.
-        let wide = ClusterSpec::m1_large(8).simulate_job_shuffle(&model, &[], vol(80), &[], clean);
+        let wide = ClusterSpec::m1_large(8).simulate_job(&model, &[], vol(80), &[], clean, None);
         assert!((many.shuffle_time / wide.shuffle_time - 2.0).abs() < 1e-9);
     }
 

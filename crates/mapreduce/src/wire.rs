@@ -30,7 +30,7 @@
 //! [`IdRun::merge_via_decode`] oracle.
 //!
 //! Pricing rule: every encoder here reports its size through
-//! [`ShuffleSized`], so `SHUFFLE_BYTES` equals the *encoded* bytes of
+//! [`ShuffleSized`], so `shuffled_bytes` equals the *encoded* bytes of
 //! the post-combine groups — priced exactly once, at the moment the
 //! group enters its sorted run.
 
@@ -457,7 +457,7 @@ impl IdRun {
 }
 
 /// The encoded size *is* the shuffle size — this is what makes
-/// `SHUFFLE_BYTES` equal the sum of encoded run lengths.
+/// `shuffled_bytes` equal the sum of encoded run lengths.
 impl ShuffleSized for IdRun {
     fn shuffle_size(&self) -> usize {
         self.wire_len()

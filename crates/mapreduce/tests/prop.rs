@@ -4,9 +4,9 @@ use proptest::prelude::*;
 
 use bytes::Bytes;
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig, FastaSplitReader};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
+use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
-use mrmc_mapreduce::simcluster::{lpt_makespan, ClusterSpec, JobCostModel};
+use mrmc_mapreduce::simcluster::{lpt_makespan, ClusterSpec, JobCostModel, ShuffleVolume};
 use mrmc_mapreduce::RecoveryCounters;
 use std::collections::HashMap;
 
@@ -70,12 +70,12 @@ proptest! {
         let input: Vec<(usize, String)> = lines.into_iter().enumerate().collect();
         let cfg = JobConfig::named("wc").reducers(reducers).workers(workers);
 
-        let plain = run_job(input.clone(), map_tasks, &WcMapper, &SumReducer, &cfg).unwrap();
+        let plain = run_job(input.clone(), map_tasks, &WcMapper, None, &SumReducer, &cfg).unwrap();
         let got: HashMap<String, u64> = plain.output.into_iter().collect();
         prop_assert_eq!(&got, &expected);
 
         let combined =
-            run_job_with_combiner(input, map_tasks, &WcMapper, &SumCombiner, &SumReducer, &cfg)
+            run_job(input, map_tasks, &WcMapper, Some(&SumCombiner), &SumReducer, &cfg)
                 .unwrap();
         let got2: HashMap<String, u64> = combined.output.into_iter().collect();
         prop_assert_eq!(&got2, &expected);
@@ -162,7 +162,10 @@ proptest! {
     ) {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(nodes);
-        let report = cluster.simulate_job(&model, &map_costs, shuffled, &reduce_costs);
+        let volume = ShuffleVolume { records: shuffled, ..ShuffleVolume::default() };
+        let report = cluster.simulate_job(
+            &model, &map_costs, volume, &reduce_costs, RecoveryCounters::new(), None,
+        );
 
         let max_map = map_costs.iter().cloned().fold(0.0, f64::max);
         let map_work: f64 =
@@ -190,10 +193,13 @@ proptest! {
         shuffled in 0u64..2_000_000,
     ) {
         let model = JobCostModel::default();
+        let volume = ShuffleVolume { records: shuffled, ..ShuffleVolume::default() };
         let mut prev = f64::INFINITY;
         for nodes in 1..=12 {
             let total = ClusterSpec::m1_large(nodes)
-                .simulate_job(&model, &map_costs, shuffled, &reduce_costs)
+                .simulate_job(
+                    &model, &map_costs, volume, &reduce_costs, RecoveryCounters::new(), None,
+                )
                 .total();
             prop_assert!(total <= prev + 1e-9, "{nodes} nodes: {total} > {prev}");
             prev = total;
@@ -212,16 +218,19 @@ proptest! {
     ) {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(nodes);
-        let clean = cluster.simulate_job(&model, &map_costs, 0, &[]);
+        let no_shuffle = ShuffleVolume::default();
+        let clean = cluster.simulate_job(
+            &model, &map_costs, no_shuffle, &[], RecoveryCounters::new(), None,
+        );
         let ledger = RecoveryCounters {
             tasks_retried: retried,
             maps_reexecuted_node_loss: reexecuted,
             ..RecoveryCounters::new()
         };
-        let recovered = cluster.simulate_job_recovered(&model, &map_costs, 0, &[], ledger);
+        let recovered = cluster.simulate_job(&model, &map_costs, no_shuffle, &[], ledger, None);
         prop_assert!(recovered.total() >= clean.total() - 1e-9);
-        let idle = cluster.simulate_job_recovered(
-            &model, &map_costs, 0, &[], RecoveryCounters::new(),
+        let idle = cluster.simulate_job(
+            &model, &map_costs, no_shuffle, &[], RecoveryCounters::new(), None,
         );
         prop_assert!((idle.total() - clean.total()).abs() < 1e-12);
     }

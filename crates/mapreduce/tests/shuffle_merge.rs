@@ -10,10 +10,12 @@
 //! key distributions, skewed partitions, and empty partitions, with
 //! and without a combiner, and under injected faults.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use mrmc_chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner, run_job_with_faults};
+use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{partition_of, Combiner, JobConfig, Mapper, Reducer, TaskContext};
 
 /// The pre-sort-merge data plane, run sequentially: chunk exactly like
@@ -156,11 +158,12 @@ proptest! {
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-random").reducers(reducers).workers(workers);
-        let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
+        let got = run_job(input, num_maps, &mapper, None, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
         prop_assert!(got.shuffle_runs <= (num_maps * reducers) as u64);
-        prop_assert_eq!(got.counters.get("SHUFFLE_RUNS"), got.shuffle_runs);
-        prop_assert_eq!(got.counters.get("SHUFFLE_BYTES"), got.shuffled_bytes);
+        // Shuffle figures are typed fields only: the engine writes no
+        // counters of its own.
+        prop_assert!(got.counters.snapshot().is_empty());
     }
 
     /// Skewed keys (a 1–3 key universe) funnel nearly everything into
@@ -179,7 +182,7 @@ proptest! {
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-skew").reducers(reducers).workers(4);
-        let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
+        let got = run_job(input, num_maps, &mapper, None, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
         // At most `key_space` partitions can be non-empty.
         prop_assert!(got.shuffle_runs <= key_space as u64 * num_maps as u64);
@@ -202,8 +205,8 @@ proptest! {
             &input, num_maps, &mapper, Some(&TakeTwoCombiner), &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-comb").reducers(reducers).workers(workers);
-        let got = run_job_with_combiner(
-            input, num_maps, &mapper, &TakeTwoCombiner, &CollectReducer, &cfg,
+        let got = run_job(
+            input, num_maps, &mapper, Some(&TakeTwoCombiner), &CollectReducer, &cfg,
         ).unwrap();
         prop_assert_eq!(got.output, expect);
     }
@@ -236,9 +239,8 @@ proptest! {
             .task_slowdown(0, Phase::Map, (panicking_map + 1) % num_maps, 20)
             .node_death_after_map(0, dead_node)
             .shuffle_fetch_fail(0, lost_map, 1, 5);
-        let got = run_job_with_faults(
-            input, num_maps, &mapper, &CollectReducer, &cfg, &plan.injector(),
-        ).unwrap();
+        let cfg = cfg.faults(Arc::new(plan.injector()));
+        let got = run_job(input, num_maps, &mapper, None, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
         prop_assert!(got.recovery.tasks_retried >= 1);
         prop_assert_eq!(got.recovery.maps_reexecuted_fetch_fail, 1);
@@ -291,13 +293,13 @@ fn string_keys_bit_identical_with_payload_bytes() {
         4,
     );
     let cfg = JobConfig::named("merge-str").reducers(4).workers(4);
-    let got = run_job(input.clone(), 5, &WordMapper, &JoinReducer, &cfg).unwrap();
+    let got = run_job(input.clone(), 5, &WordMapper, None, &JoinReducer, &cfg).unwrap();
     assert_eq!(got.output, expect);
 
     // Payload accounting: replay the engine's chunking and map-side
     // grouping, then price each group once — key (4 + len), varint
     // value count, 4 per value. This is the on-the-wire framing of a
-    // sorted run, so SHUFFLE_BYTES must equal it exactly.
+    // sorted run, so `shuffled_bytes` must equal it exactly.
     let (num_maps, n) = (5usize, input.len());
     let (base, extra) = (n / num_maps, n % num_maps);
     let mut bytes = 0u64;
@@ -350,7 +352,7 @@ fn empty_input_and_single_key_edge_cases() {
             reducers,
         );
         let cfg = JobConfig::named("merge-edge").reducers(reducers).workers(2);
-        let got = run_job(input, 3, &mapper, &CollectReducer, &cfg).unwrap();
+        let got = run_job(input, 3, &mapper, None, &CollectReducer, &cfg).unwrap();
         assert_eq!(got.output, expect);
         if payloads.is_empty() {
             assert_eq!(got.shuffle_runs, 0, "no pairs, no runs");

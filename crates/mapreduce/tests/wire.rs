@@ -1,12 +1,12 @@
 //! Property tests for the compact wire layer: varint and id-run
 //! roundtrips over arbitrary inputs, band-key packing at every legal
-//! width, and the pricing contract — SHUFFLE_BYTES charged by the
+//! width, and the pricing contract — `shuffled_bytes` charged by the
 //! engine must equal the bytes the encoded runs actually occupy,
 //! computed from the wire format alone.
 
 use proptest::prelude::*;
 
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
+use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{partition_of, Combiner, JobConfig, Mapper, Reducer, TaskContext};
 use mrmc_mapreduce::wire::{get_uvarint, put_uvarint, uvarint_len};
 use mrmc_mapreduce::{BandKeyCodec, IdRun};
@@ -174,7 +174,7 @@ proptest! {
     /// Satellite contract: with the encoding ON (IdRun values + merge
     /// combiner) and OFF (raw u32 values), the reduce groups are
     /// identical — same keys, same id sets, same order — while the
-    /// encoded plane's priced SHUFFLE_BYTES equals the sum of its
+    /// encoded plane's priced `shuffled_bytes` equals the sum of its
     /// encoded run lengths, computed independently by replaying the
     /// engine's chunking and combine.
     #[test]
@@ -188,10 +188,10 @@ proptest! {
         let cfg = JobConfig::named("wire-prop").reducers(reducers).workers(2);
 
         let raw = run_job(
-            input.clone(), num_maps, &RawMapper { key_space }, &SortReducer, &cfg,
+            input.clone(), num_maps, &RawMapper { key_space }, None, &SortReducer, &cfg,
         ).unwrap();
-        let enc = run_job_with_combiner(
-            input.clone(), num_maps, &RunMapper { key_space }, &MergeCombiner,
+        let enc = run_job(
+            input.clone(), num_maps, &RunMapper { key_space }, Some(&MergeCombiner),
             &DecodeReducer, &cfg,
         ).unwrap();
         prop_assert_eq!(&enc.output, &raw.output, "reduce groups must be identical");
@@ -253,7 +253,7 @@ proptest! {
         }
         let input: Vec<(u32, u32)> = ids.iter().map(|&x| (x, x)).collect();
         let cfg = JobConfig::named("wire-route").reducers(reducers).workers(2);
-        let got = run_job(input, 4, &Routed { reducers }, &SortReducer, &cfg).unwrap();
+        let got = run_job(input, 4, &Routed { reducers }, None, &SortReducer, &cfg).unwrap();
         // Range partitioning + per-partition key sort ⇒ globally sorted
         // output, something `partition_of` hashing cannot promise.
         let keys: Vec<u32> = got.output.iter().map(|(k, _)| *k).collect();

@@ -39,8 +39,7 @@
 //! clustering built from it) bit-identical across formats.
 
 use mrmc_cluster::SparseSimGraph;
-use mrmc_mapreduce::chaos::{FaultInjector, NoFaults};
-use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, MrKey, Reducer, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::wire::{uvarint_len, BandKeyCodec, IdRun};
 use mrmc_mapreduce::MrError;
@@ -171,7 +170,7 @@ impl Mapper for VerifyMapper<'_> {
 
 /// Compact stage-1 mapper: read index → packed bucket key with a
 /// singleton [`IdRun`] payload. Key bytes are the packed width, value
-/// bytes the exact run encoding — so SHUFFLE_BYTES is the true
+/// bytes the exact run encoding — so `shuffled_bytes` is the true
 /// compact-wire volume.
 struct CompactBandMapper<'a> {
     scheme: BandingScheme,
@@ -215,28 +214,24 @@ impl Mapper for CompactBandMapper<'_> {
     }
 }
 
-/// Map-side combiner for [`IdRun`] payloads: collapse a key's local
-/// singleton runs into one sorted, deduped run before the shuffle.
-/// Idempotent with the reducers, which re-merge across map tasks.
-struct IdRunCombiner;
+/// Map-side combiner for [`IdRun`] payloads under any key (the packed
+/// bucket key in stage 1, the lower read id in stage 2): collapse a
+/// key's local singleton runs into one sorted, deduped run before the
+/// shuffle. Idempotent with the reducers, which re-merge across map
+/// tasks.
+struct IdRunCombiner<K>(std::marker::PhantomData<fn() -> K>);
 
-impl Combiner for IdRunCombiner {
-    type Key = u64;
-    type Value = IdRun;
-
-    fn combine(&self, _key: &u64, values: Vec<IdRun>) -> Vec<IdRun> {
-        vec![IdRun::merge(&values).expect("combiner input runs are well-formed")]
+impl<K> IdRunCombiner<K> {
+    fn new() -> IdRunCombiner<K> {
+        IdRunCombiner(std::marker::PhantomData)
     }
 }
 
-/// [`IdRunCombiner`] keyed by a `u32` read id (stage 2).
-struct IdRunCombinerU32;
-
-impl Combiner for IdRunCombinerU32 {
-    type Key = u32;
+impl<K: MrKey> Combiner for IdRunCombiner<K> {
+    type Key = K;
     type Value = IdRun;
 
-    fn combine(&self, _key: &u32, values: Vec<IdRun>) -> Vec<IdRun> {
+    fn combine(&self, _key: &K, values: Vec<IdRun>) -> Vec<IdRun> {
         vec![IdRun::merge(&values).expect("combiner input runs are well-formed")]
     }
 }
@@ -353,37 +348,27 @@ pub fn banded_candidates(
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<Vec<(u32, u32)>, MrError> {
-    banded_candidates_with(sketches, config, pipeline, &NoFaults)
-}
-
-/// [`banded_candidates`] under a fault injector.
-pub fn banded_candidates_with(
-    sketches: &[Sketch],
-    config: &MrMcConfig,
-    pipeline: &mut Pipeline,
-    injector: &dyn FaultInjector,
-) -> Result<Vec<(u32, u32)>, MrError> {
     ensure_read_ids_fit(sketches.len())?;
     let scheme = config.banding_scheme();
     let input: Vec<(usize, ())> = (0..sketches.len()).map(|i| (i, ())).collect();
     let deduped = match config.wire {
         WireFormat::Raw => {
             let mapper = BandSignatureMapper { scheme, sketches };
-            let bucket_pairs = pipeline.run_stage_with_faults(
+            let bucket_pairs = pipeline.run_stage(
                 input,
                 config.map_tasks,
                 &mapper,
+                None,
                 &BucketPairReducer,
                 &job_for(config, "band-signatures"),
-                injector,
             )?;
-            pipeline.run_stage_with_faults(
+            pipeline.run_stage(
                 bucket_pairs,
                 config.map_tasks,
                 &PairIdentityMapper,
+                None,
                 &DedupReducer,
                 &job_for(config, "candidate-dedup"),
-                injector,
             )?
         }
         WireFormat::Compact { sig_bits } => {
@@ -393,30 +378,28 @@ pub fn banded_candidates_with(
                 codec,
                 sketches,
             };
-            let mut bucket_pairs = pipeline.run_stage_with_combiner_and_faults(
+            let mut bucket_pairs = pipeline.run_stage(
                 input,
                 config.map_tasks,
                 &mapper,
-                &IdRunCombiner,
+                Some(&IdRunCombiner::new()),
                 &CompactBucketReducer,
                 &job_for(config, "band-signatures"),
-                injector,
             )?;
             // Total-order handoff: sorting the pair stream makes
             // cross-band duplicates of the same pair adjacent, so the
             // stage-2 input splits hand them to one map task and the
             // combiner eliminates them before they reach the wire.
             bucket_pairs.sort_unstable();
-            pipeline.run_stage_with_combiner_and_faults(
+            pipeline.run_stage(
                 bucket_pairs,
                 config.map_tasks,
                 &NeighborRunMapper {
                     total_reads: sketches.len(),
                 },
-                &IdRunCombinerU32,
+                Some(&IdRunCombiner::new()),
                 &NeighborDedupReducer,
                 &job_for(config, "candidate-dedup"),
-                injector,
             )?
         }
     };
@@ -434,17 +417,7 @@ pub fn banded_graph_stage(
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<SparseSimGraph, MrError> {
-    banded_graph_stage_with(sketches, config, pipeline, &NoFaults)
-}
-
-/// [`banded_graph_stage`] under a fault injector.
-pub fn banded_graph_stage_with(
-    sketches: &[Sketch],
-    config: &MrMcConfig,
-    pipeline: &mut Pipeline,
-    injector: &dyn FaultInjector,
-) -> Result<SparseSimGraph, MrError> {
-    let candidates = banded_candidates_with(sketches, config, pipeline, injector)?;
+    let candidates = banded_candidates(sketches, config, pipeline)?;
     let mapper = VerifyMapper {
         sketches,
         config: *config,
@@ -453,13 +426,8 @@ pub fn banded_graph_stage_with(
     // More, smaller tasks than the banding stages — verification is
     // the compute-heavy step, like the dense row blocks.
     let tasks = (config.map_tasks * 4).min(input.len().max(1));
-    let edges = pipeline.run_map_stage_with_faults(
-        input,
-        tasks,
-        &mapper,
-        &job_for(config, "candidate-verify"),
-        injector,
-    )?;
+    let edges =
+        pipeline.run_map_stage(input, tasks, &mapper, &job_for(config, "candidate-verify"))?;
     Ok(SparseSimGraph::from_edges(
         sketches.len(),
         edges.into_iter().map(|((i, j), s)| (i, j, s)),

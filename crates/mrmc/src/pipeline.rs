@@ -6,14 +6,14 @@ use mrmc_cluster::{
     agglomerative, agglomerative_sparse, greedy_cluster, greedy_cluster_sparse, ClusterAssignment,
     Dendrogram,
 };
-use mrmc_mapreduce::chaos::{FaultInjector, NoFaults, RecoveryCounters};
+use mrmc_mapreduce::chaos::RecoveryCounters;
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
 use mrmc_seqio::SeqRecord;
 
-use crate::banded::banded_graph_stage_with;
+use crate::banded::banded_graph_stage;
 use crate::config::{CandidateGen, Mode, MrMcConfig};
-use crate::stages::{similarity_matrix_stage_with, sketch_similarity, sketch_stage_with};
+use crate::stages::{similarity_matrix_stage, sketch_similarity, sketch_stage};
 
 /// Result of a MrMC-MinH run.
 #[derive(Debug)]
@@ -24,8 +24,6 @@ pub struct MrMcResult {
     pub dendrogram: Option<Dendrogram>,
     /// Map-Reduce stage reports (feeds the simulated-cluster model).
     pub pipeline: Pipeline,
-    /// Wall-clock of the clustering step proper (after sketching).
-    pub cluster_time: Duration,
     /// Total wall-clock of the run.
     pub total_time: Duration,
 }
@@ -98,53 +96,32 @@ impl MrMcMinH {
 
     /// Cluster the reads.
     pub fn run(&self, reads: &[SeqRecord]) -> Result<MrMcResult, MrError> {
-        self.run_with_injector(reads, &NoFaults)
+        self.run_on(
+            reads,
+            Pipeline::new(match self.config.mode {
+                Mode::Greedy => "mrmc-minh-g",
+                Mode::Hierarchical => "mrmc-minh-h",
+            }),
+        )
     }
 
-    /// Cluster the reads while a [`FaultInjector`] disrupts the
-    /// Map-Reduce substrate. The clustering output must be bit-identical
-    /// to a fault-free run whenever recovery succeeds; the price paid
-    /// is visible in [`MrMcResult::recovery`].
-    pub fn run_with_injector(
+    /// Cluster the reads on a caller-built `pipeline`: every
+    /// Map-Reduce stage runs with its fault injector
+    /// ([`Pipeline::faults`]) and its tracer ([`Pipeline::traced`]).
+    /// Both are passive with respect to the output: the clustering is
+    /// bit-identical to [`MrMcMinH::run`] whenever recovery succeeds.
+    /// The price paid is visible in [`MrMcResult::recovery`] and the
+    /// trace ledger.
+    pub fn run_on(
         &self,
         reads: &[SeqRecord],
-        injector: &dyn FaultInjector,
-    ) -> Result<MrMcResult, MrError> {
-        self.run_inner(reads, injector, None)
-    }
-
-    /// Cluster the reads while recording a structured trace of every
-    /// Map-Reduce stage into `tracer` (task attempts, shuffle runs,
-    /// combiner activity, recovery actions). Tracing is passive: the
-    /// clustering output is bit-identical to an untraced run.
-    pub fn run_traced(
-        &self,
-        reads: &[SeqRecord],
-        injector: &dyn FaultInjector,
-        tracer: std::sync::Arc<mrmc_mapreduce::Tracer>,
-    ) -> Result<MrMcResult, MrError> {
-        self.run_inner(reads, injector, Some(tracer))
-    }
-
-    fn run_inner(
-        &self,
-        reads: &[SeqRecord],
-        injector: &dyn FaultInjector,
-        tracer: Option<std::sync::Arc<mrmc_mapreduce::Tracer>>,
+        mut pipeline: Pipeline,
     ) -> Result<MrMcResult, MrError> {
         let start = Instant::now();
-        let mut pipeline = Pipeline::new(match self.config.mode {
-            Mode::Greedy => "mrmc-minh-g",
-            Mode::Hierarchical => "mrmc-minh-h",
-        });
-        if let Some(tracer) = tracer {
-            pipeline = pipeline.traced(tracer);
-        }
 
         // Stage 1: minwise sketches (map-only over records).
-        let sketches = sketch_stage_with(reads, &self.config, &mut pipeline, injector)?;
+        let sketches = sketch_stage(reads, &self.config, &mut pipeline)?;
 
-        let cluster_start = Instant::now();
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
             (Mode::Greedy, CandidateGen::Dense) => {
                 // Algorithm 1 — iterative, representative-based; runs
@@ -160,8 +137,7 @@ impl MrMcMinH {
                 // tests `sim ≥ θ`, so the sparse run is identical to
                 // dense whenever the graph holds every θ-pair (the
                 // auto-tuned scheme's guarantee).
-                let graph =
-                    banded_graph_stage_with(&sketches, &self.config, &mut pipeline, injector)?;
+                let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
                 (
                     greedy_cluster_sparse(&graph, self.config.theta).compact(),
                     None,
@@ -170,8 +146,7 @@ impl MrMcMinH {
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
                 // then agglomerative clustering with θ cutoff.
-                let matrix =
-                    similarity_matrix_stage_with(sketches, &self.config, &mut pipeline, injector)?;
+                let matrix = similarity_matrix_stage(sketches, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
                     agglomerative(&matrix, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))
@@ -181,20 +156,17 @@ impl MrMcMinH {
                 // as similarity 0): the θ-cut matches dense on corpora
                 // whose clusters are θ-separated; sub-θ merges follow
                 // single-linkage-at-θ semantics.
-                let graph =
-                    banded_graph_stage_with(&sketches, &self.config, &mut pipeline, injector)?;
+                let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
                     agglomerative_sparse(&graph, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))
             }
         };
-        let cluster_time = cluster_start.elapsed();
 
         Ok(MrMcResult {
             assignment,
             dendrogram,
             pipeline,
-            cluster_time,
             total_time: start.elapsed(),
         })
     }
@@ -411,6 +383,7 @@ mod tests {
     #[test]
     fn chaos_run_bit_identical_to_clean_run() {
         use mrmc_mapreduce::chaos::{FaultPlan, Phase};
+        use std::sync::Arc;
 
         let (reads, _) = two_species(40, 8);
         let runner = MrMcMinH::new(config(Mode::Hierarchical, 0.55));
@@ -423,7 +396,9 @@ mod tests {
             .task_slowdown(1, Phase::Map, 0, 15)
             .node_death_after_map(0, 2)
             .injector();
-        let chaotic = runner.run_with_injector(&reads, &inj).unwrap();
+        let chaotic = runner
+            .run_on(&reads, Pipeline::new("chaos").faults(Arc::new(inj)))
+            .unwrap();
         assert_eq!(chaotic.assignment, clean.assignment);
         assert_eq!(chaotic.dendrogram, clean.dendrogram);
         let rec = chaotic.recovery();
@@ -435,7 +410,7 @@ mod tests {
 
     #[test]
     fn traced_run_bit_identical_with_deterministic_ledger() {
-        use mrmc_mapreduce::chaos::{FaultPlan, NoFaults, Phase};
+        use mrmc_mapreduce::chaos::{FaultPlan, Phase};
         use mrmc_mapreduce::Tracer;
         use std::sync::Arc;
 
@@ -445,11 +420,15 @@ mod tests {
 
         // Tracing a clean run is passive and its ledger replays.
         let t1 = Arc::new(Tracer::new());
-        let traced = runner.run_traced(&reads, &NoFaults, t1.clone()).unwrap();
+        let traced = runner
+            .run_on(&reads, Pipeline::new("t").traced(t1.clone()))
+            .unwrap();
         assert_eq!(traced.assignment, plain.assignment);
         assert_eq!(traced.dendrogram, plain.dendrogram);
         let t2 = Arc::new(Tracer::new());
-        runner.run_traced(&reads, &NoFaults, t2.clone()).unwrap();
+        runner
+            .run_on(&reads, Pipeline::new("t").traced(t2.clone()))
+            .unwrap();
         assert_eq!(t1.ledger().signature(), t2.ledger().signature());
         // One ledger job per MR stage (sketch + similarity).
         assert_eq!(t1.ledger().jobs.len(), 2);
@@ -462,12 +441,22 @@ mod tests {
             .node_death_after_map(0, 2);
         let c1 = Arc::new(Tracer::new());
         let chaotic = runner
-            .run_traced(&reads, &plan.clone().injector(), c1.clone())
+            .run_on(
+                &reads,
+                Pipeline::new("t")
+                    .traced(c1.clone())
+                    .faults(Arc::new(plan.clone().injector())),
+            )
             .unwrap();
         assert_eq!(chaotic.assignment, plain.assignment);
         let c2 = Arc::new(Tracer::new());
         runner
-            .run_traced(&reads, &plan.injector(), c2.clone())
+            .run_on(
+                &reads,
+                Pipeline::new("t")
+                    .traced(c2.clone())
+                    .faults(Arc::new(plan.injector())),
+            )
             .unwrap();
         assert_eq!(c1.ledger().signature(), c2.ledger().signature());
         // The chaotic ledger differs from the clean one (it carries

@@ -1,15 +1,11 @@
 //! Integration tests of the banded-LSH candidate pipeline: the
-//! exactness contract (banded == dense, bit for bit), the candidate
-//! oracle, dedup completeness, and fault recovery through the banding
-//! reducers.
+//! candidate oracle, dedup completeness, graph exactness and the wire
+//! formats. The banded-vs-dense identity and fault-recovery pins live
+//! in the workspace root's `tests/banded.rs`.
 
-use mrmc::banded::{
-    banded_candidates, banded_candidates_with, banded_graph_stage, banded_graph_stage_with,
-    ensure_read_ids_fit,
-};
+use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::{sketch_similarity, sketch_stage};
-use mrmc::{Mode, MrMcConfig, MrMcMinH, WireFormat};
-use mrmc_mapreduce::chaos::{FaultPlan, Phase};
+use mrmc::{MrMcConfig, WireFormat};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_minhash::Sketch;
 use mrmc_simulate::huse_16s;
@@ -21,36 +17,6 @@ fn corpus(reads: f64, seed: u64) -> Vec<mrmc_seqio::SeqRecord> {
 fn sketches_of(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> Vec<Sketch> {
     let mut p = Pipeline::new("test-sketch");
     sketch_stage(reads, cfg, &mut p).expect("sketch stage")
-}
-
-/// The tentpole contract: on the seed 16S corpus, the banded pipeline
-/// produces *bit-identical* cluster assignments to the dense oracle in
-/// both clustering modes, at the default auto-tuned scheme.
-#[test]
-fn banded_clustering_identical_to_dense() {
-    let reads = corpus(280.0, 9);
-    for mode in [Mode::Greedy, Mode::Hierarchical] {
-        let dense = MrMcMinH::new(MrMcConfig {
-            mode,
-            ..MrMcConfig::sixteen_s()
-        })
-        .run(&reads)
-        .expect("dense run");
-        let banded = MrMcMinH::new(
-            MrMcConfig {
-                mode,
-                ..MrMcConfig::sixteen_s()
-            }
-            .banded(),
-        )
-        .run(&reads)
-        .expect("banded run");
-        assert_eq!(
-            banded.assignment, dense.assignment,
-            "{mode:?}: banded assignments must match dense"
-        );
-        assert_eq!(banded.num_clusters(), dense.num_clusters());
-    }
 }
 
 /// Stages 1–2 emit exactly the pairs the collision oracle accepts:
@@ -113,40 +79,6 @@ fn sparse_graph_equals_dense_truth() {
     assert_eq!(graph.num_edges(), truth, "recall and precision 1.0");
 }
 
-/// Task panics in the banding *reducers* (bucket collection and pair
-/// dedup) and the verify mappers must be recovered with a
-/// bit-identical graph — the pipeline's new reduce-phase recovery
-/// surface.
-#[test]
-fn reducer_faults_recover_bit_identical() {
-    let cfg = MrMcConfig::sixteen_s().banded();
-    let reads = corpus(150.0, 17);
-    let sketches = sketches_of(&reads, &cfg);
-
-    let mut clean_p = Pipeline::new("test-clean");
-    let clean = banded_graph_stage(&sketches, &cfg, &mut clean_p).expect("clean run");
-
-    // Job ordinals under this injector: 0 = band-signatures,
-    // 1 = candidate-dedup, 2 = verify.
-    let inj = FaultPlan::new()
-        .task_panic(0, Phase::Reduce, 0, 2)
-        .task_panic(1, Phase::Reduce, 1, 1)
-        .task_panic(2, Phase::Map, 0, 1)
-        .injector();
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut faulty_p = Pipeline::new("test-faulty");
-    let faulty = banded_graph_stage_with(&sketches, &cfg, &mut faulty_p, &inj);
-    std::panic::set_hook(hook);
-
-    let faulty = faulty.expect("faults within the retry budget must recover");
-    assert_eq!(faulty, clean, "recovered graph must be bit-identical");
-    assert!(
-        faulty_p.total_recovery().tasks_retried >= 4,
-        "the injected failures must show up in the ledger"
-    );
-}
-
 /// The two wire formats are interchangeable where it matters: same
 /// candidate set, same verified graph — while the compact encoding
 /// moves strictly fewer shuffle bytes through both banding stages.
@@ -183,39 +115,6 @@ fn raw_and_compact_wire_agree_with_fewer_bytes() {
     assert_eq!(graph_raw, graph_compact, "graphs bit-identical");
 }
 
-/// Shuffle fetch failures past the retry limit force map re-execution;
-/// the re-executed maps re-encode their id runs deterministically, so
-/// the retried fetch decodes to identical groups and the final graph
-/// is bit-identical — the chaos contract with the compact wire format
-/// enabled (both banding stages lose an output).
-#[test]
-fn fetch_failures_recover_bit_identical_with_compact_wire() {
-    let cfg = MrMcConfig::sixteen_s().banded();
-    assert!(matches!(cfg.wire, WireFormat::Compact { .. }));
-    let reads = corpus(150.0, 23);
-    let sketches = sketches_of(&reads, &cfg);
-
-    let mut clean_p = Pipeline::new("test-clean-fetch");
-    let clean = banded_graph_stage(&sketches, &cfg, &mut clean_p).expect("clean run");
-
-    // Job ordinals: 0 = band-signatures, 1 = candidate-dedup. Five
-    // failures exceed FETCH_RETRY_LIMIT, declaring the map output lost.
-    let inj = FaultPlan::new()
-        .shuffle_fetch_fail(0, 1, 0, 5)
-        .shuffle_fetch_fail(1, 0, 1, 5)
-        .injector();
-    let mut faulty_p = Pipeline::new("test-faulty-fetch");
-    let faulty = banded_graph_stage_with(&sketches, &cfg, &mut faulty_p, &inj)
-        .expect("fetch failures must recover");
-    assert_eq!(faulty, clean, "recovered graph must be bit-identical");
-    assert_eq!(
-        faulty_p.total_recovery().maps_reexecuted_fetch_fail,
-        2,
-        "both lost map outputs must be re-executed"
-    );
-    assert!(faulty_p.total_recovery().shuffle_fetch_retries >= 2);
-}
-
 /// The u32 read-id guard: the helper rejects inputs past u32::MAX and
 /// accepts everything the shuffle can actually address.
 #[test]
@@ -229,7 +128,7 @@ fn read_id_guard() {
     // here; the guard sits on the entry path of both formats).
     let cfg = MrMcConfig::sixteen_s().banded();
     let mut p = Pipeline::new("test-guard");
-    assert!(banded_candidates_with(&[], &cfg, &mut p, &mrmc_mapreduce::chaos::NoFaults).is_ok());
+    assert!(banded_candidates(&[], &cfg, &mut p).is_ok());
 }
 
 /// Degenerate inputs: empty and single-read corpora produce empty

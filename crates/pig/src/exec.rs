@@ -17,9 +17,9 @@
 //!   operators evaluated on column windows through the batch UDF ABI
 //!   ([`crate::udf::BatchUdf`]), `FLATTEN` expanded with gather
 //!   vectors, and `GROUP` shuffling 4-byte **row indices** instead of
-//!   cloned row trees — the grouped runs come back through
-//!   [`Pipeline::run_group_stage`] and one columnar gather builds the
-//!   result bags. Chunks that the vectorizer cannot keep aligned
+//!   cloned row trees — the grouped runs come back through a
+//!   [`Gather`] stage and one columnar gather builds the result bags.
+//!   Chunks that the vectorizer cannot keep aligned
 //!   (mixed-type flatten inputs, ragged bag-element tuples) fall back
 //!   to the exact row-engine logic per chunk, so both engines are
 //!   bit-identical by construction *and* by the property tests in
@@ -41,7 +41,7 @@ use mrmc_mapreduce::dfs::Dfs;
 use mrmc_mapreduce::engine::chunk_ranges;
 use mrmc_mapreduce::job::{JobConfig, Mapper, Reducer, TaskContext};
 use mrmc_mapreduce::obs::{Category, SpanDraft, SpanId, Tracer};
-use mrmc_mapreduce::pipeline::Pipeline;
+use mrmc_mapreduce::pipeline::{Gather, Pipeline};
 use mrmc_mapreduce::MrError;
 
 use crate::batch::{BagCol, Column, ColumnBatch};
@@ -818,7 +818,7 @@ impl Mapper for BatchFilterMapper {
 
 /// The columnar map side of `GROUP`: shuffles `(key, row index)` —
 /// 4-byte values instead of cloned row trees — while charging
-/// `SHUFFLE_BYTES` for the full row via the wire-size hook, so the
+/// `shuffled_bytes` for the full row via the wire-size hook, so the
 /// accounting stays bit-identical to the value shuffle.
 struct BatchGroupMapper {
     batch: Arc<ColumnBatch>,
@@ -1163,16 +1163,18 @@ impl PigRunner {
 
         if let Some((batch, len)) = rel.batch() {
             // Shuffle row *indices*; the wire-size hook prices the
-            // full row so SHUFFLE_BYTES matches the value shuffle.
+            // full row so the shuffled bytes match the value shuffle.
             let input_rows: Vec<(usize, u32)> = (0..len).map(|i| (i, i as u32)).collect();
             let mapper = BatchGroupMapper {
                 batch: Arc::clone(batch),
                 key_field,
             };
-            let groups = pipeline.run_group_stage(
+            let groups = pipeline.run_stage(
                 input_rows,
                 self.num_map_tasks,
                 &mapper,
+                None,
+                &Gather::new(),
                 &self.job_config(&format!("group:{alias}")),
             )?;
             // Deterministic group order (keys are unique, so sorting
@@ -1210,6 +1212,7 @@ impl PigRunner {
             input_rows,
             self.num_map_tasks,
             &GroupMapper { key_field },
+            None,
             &GroupReducer,
             &self.job_config(&format!("group:{alias}")),
         )?;
@@ -1303,6 +1306,7 @@ impl PigRunner {
             input_rows,
             self.num_map_tasks,
             &DistinctMapper,
+            None,
             &DistinctReducer,
             &self.job_config(&format!("distinct:{alias}")),
         )?;
@@ -1836,7 +1840,7 @@ mod tests {
         let row = row_runner(&dfs).run(&script).unwrap();
         let (cs, rs) = (&col.pipeline.stages()[1], &row.pipeline.stages()[1]);
         assert_eq!(cs.shuffled_pairs, rs.shuffled_pairs);
-        // The index shuffle must charge the same SHUFFLE_BYTES as the
+        // The index shuffle must charge the same `shuffled_bytes` as the
         // value shuffle (wire-size hook prices the full row).
         assert_eq!(cs.shuffled_bytes, rs.shuffled_bytes);
         assert_eq!(cs.shuffle_runs, rs.shuffle_runs);

@@ -132,7 +132,7 @@ impl Value {
 impl mrmc_mapreduce::ShuffleSized for Value {
     /// Serialized width as Pig's binary tuple format would write it: a
     /// one-byte type tag plus the payload (length-prefixed for
-    /// variable-width types). This is what `SHUFFLE_BYTES` charges when
+    /// variable-width types). This is what `shuffled_bytes` charges when
     /// a job shuffles dynamic values, instead of the shallow enum width.
     fn shuffle_size(&self) -> usize {
         1 + match self {

@@ -4,10 +4,18 @@
 //! identical [`FaultPlan`] must yield identical recovery counters on
 //! every run.
 
+use std::sync::Arc;
+
 use mrmc::{Mode, MrMcConfig, MrMcMinH, MrMcResult};
-use mrmc_mapreduce::chaos::{FaultPlan, Phase, RecoveryCounters};
+use mrmc_mapreduce::chaos::{FaultPlan, Phase, PlanInjector, RecoveryCounters};
+use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_seqio::SeqRecord;
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
+
+/// A fresh pipeline whose every stage consults `injector`.
+fn faulty(injector: PlanInjector) -> Pipeline {
+    Pipeline::new("chaos").faults(Arc::new(injector))
+}
 
 fn two_species(n: usize, seed: u64) -> Vec<SeqRecord> {
     let spec = CommunitySpec {
@@ -59,7 +67,7 @@ fn single_node_death_yields_identical_clustering() {
     // `task % nodes`, so with 4 map tasks only nodes 0–3 hold outputs.
     for (job, node) in [(0usize, 2usize), (1, 1)] {
         let inj = FaultPlan::new().node_death_after_map(job, node).injector();
-        let chaotic = r.run_with_injector(&reads, &inj).unwrap();
+        let chaotic = r.run_on(&reads, faulty(inj)).unwrap();
         assert_identical(&chaotic, &clean);
         assert!(
             chaotic.recovery().maps_reexecuted_node_loss >= 1,
@@ -79,7 +87,7 @@ fn two_panics_per_stage_yield_identical_clustering() {
         .task_panic(1, Phase::Map, 1, 2)
         .task_panic(1, Phase::Map, 2, 2)
         .injector();
-    let chaotic = r.run_with_injector(&reads, &inj).unwrap();
+    let chaotic = r.run_on(&reads, faulty(inj)).unwrap();
     assert_identical(&chaotic, &clean);
     // 2 + 1 + 2 + 2 failed attempts, each retried.
     assert_eq!(chaotic.recovery().tasks_retried, 7);
@@ -94,7 +102,7 @@ fn straggler_speculation_yields_identical_clustering() {
     let inj = FaultPlan::new()
         .task_slowdown(0, Phase::Map, 2, 25)
         .injector();
-    let chaotic = r.run_with_injector(&reads, &inj).unwrap();
+    let chaotic = r.run_on(&reads, faulty(inj)).unwrap();
     assert_identical(&chaotic, &clean);
     assert_eq!(chaotic.recovery().speculative_wins, 1);
 }
@@ -111,9 +119,7 @@ fn identical_plan_gives_identical_counters_across_runs() {
     let mut ledgers: Vec<RecoveryCounters> = Vec::new();
     let mut outputs = Vec::new();
     for _ in 0..3 {
-        let run = r
-            .run_with_injector(&reads, &plan.clone().injector())
-            .unwrap();
+        let run = r.run_on(&reads, faulty(plan.clone().injector())).unwrap();
         ledgers.push(run.recovery());
         outputs.push(run.assignment);
     }
