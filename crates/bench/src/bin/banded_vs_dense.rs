@@ -9,7 +9,12 @@
 //! * **pruning** — all pairs / similarity evaluations actually made;
 //! * **recall** — banded θ-edges / true θ-edges (the auto-tuned scheme
 //!   guarantees 1.0; anything less is a failure);
-//! * wall-clock of both paths and the banded shuffle volume.
+//! * wall-clock of both paths and the banded shuffle volume;
+//! * the hierarchical linkage the banded pipeline runs on the graph
+//!   (`agglomerative_sparse`, average linkage): its wall-clock and the
+//!   process's resident-set high-water mark while it runs (Linux
+//!   `VmHWM`, reset just before; it includes the reads, sketches and
+//!   graph already resident).
 //!
 //! Two probes guard the exactness contract: greedy and hierarchical
 //! clustering must be identical dense-vs-banded on a small corpus, and
@@ -30,6 +35,7 @@ use mrmc::banded::banded_graph_stage;
 use mrmc::stages::{sketch_similarity, sketch_stage};
 use mrmc::{CandidateGen, Mode, MrMcConfig, MrMcMinH};
 use mrmc_bench::HarnessArgs;
+use mrmc_cluster::agglomerative_sparse;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_simulate::huse_16s;
@@ -46,6 +52,8 @@ struct Row {
     shuffle_bytes: u64,
     dense_secs: f64,
     banded_secs: f64,
+    linkage_secs: f64,
+    linkage_peak_mb: f64,
 }
 
 fn config() -> MrMcConfig {
@@ -72,6 +80,23 @@ fn dense_truth(sketches: &[mrmc_minhash::Sketch], cfg: &MrMcConfig) -> u64 {
     counts.iter().sum()
 }
 
+/// Reset the resident-set high-water mark (Linux; a no-op elsewhere).
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// The resident-set high-water mark in MiB (`VmHWM`; 0 where the
+/// platform does not report it).
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|kb| kb.parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 fn measure(size: usize, args: &HarnessArgs, failures: &mut Vec<String>) -> Row {
     let cfg = config();
     let dataset = huse_16s(0.03, size as f64 / 345_000.0, args.seed);
@@ -88,6 +113,12 @@ fn measure(size: usize, args: &HarnessArgs, failures: &mut Vec<String>) -> Row {
     let t = Instant::now();
     let graph = banded_graph_stage(&sketches, &cfg, &mut pipeline).expect("banded stages");
     let banded_secs = t.elapsed().as_secs_f64();
+
+    reset_peak_rss();
+    let t = Instant::now();
+    agglomerative_sparse(&graph, cfg.linkage, cfg.theta);
+    let linkage_secs = t.elapsed().as_secs_f64();
+    let linkage_peak_mb = peak_rss_mb();
 
     let banded_edges = graph.num_edges() as u64;
     let verified = pipeline.counter_total("PAIRS_COMPUTED");
@@ -123,6 +154,8 @@ fn measure(size: usize, args: &HarnessArgs, failures: &mut Vec<String>) -> Row {
         shuffle_bytes: pipeline.stages().iter().map(|s| s.shuffled_bytes).sum(),
         dense_secs,
         banded_secs,
+        linkage_secs,
+        linkage_peak_mb,
     }
 }
 
@@ -228,7 +261,7 @@ fn main() {
         .collect();
 
     println!(
-        "{:>8} {:>14} {:>12} {:>10} {:>10} {:>8} {:>9} {:>12} {:>10} {:>10}",
+        "{:>8} {:>14} {:>12} {:>10} {:>10} {:>8} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10}",
         "reads",
         "all pairs",
         "verified",
@@ -238,13 +271,15 @@ fn main() {
         "pruning",
         "shuffle B",
         "dense s",
-        "banded s"
+        "banded s",
+        "linkage s",
+        "link MiB"
     );
     let mut rows_out = Vec::new();
     for &size in &sizes {
         let row = measure(size, &args, &mut failures);
         println!(
-            "{:>8} {:>14} {:>12} {:>10} {:>10} {:>8.4} {:>8.1}x {:>12} {:>10.2} {:>10.2}",
+            "{:>8} {:>14} {:>12} {:>10} {:>10} {:>8.4} {:>8.1}x {:>12} {:>10.2} {:>10.2} {:>10.2} {:>10.1}",
             row.reads,
             row.total_pairs,
             row.verified,
@@ -254,7 +289,9 @@ fn main() {
             row.pruning,
             row.shuffle_bytes,
             row.dense_secs,
-            row.banded_secs
+            row.banded_secs,
+            row.linkage_secs,
+            row.linkage_peak_mb
         );
         rows_out.push(row);
     }
@@ -269,7 +306,7 @@ fn main() {
                 "    {{\"reads\": {}, \"total_pairs\": {}, \"verified\": {}, \
                  \"truth_edges\": {}, \"banded_edges\": {}, \"recall\": {}, \
                  \"pruning\": {}, \"shuffle_bytes\": {}, \"dense_secs\": {}, \
-                 \"banded_secs\": {}}}",
+                 \"banded_secs\": {}, \"linkage_secs\": {}, \"linkage_peak_mb\": {}}}",
                 r.reads,
                 r.total_pairs,
                 r.verified,
@@ -279,7 +316,9 @@ fn main() {
                 r.pruning,
                 r.shuffle_bytes,
                 r.dense_secs,
-                r.banded_secs
+                r.banded_secs,
+                r.linkage_secs,
+                r.linkage_peak_mb
             )
         })
         .collect();

@@ -10,7 +10,10 @@
 //! * [`linkage`] — dendrogram construction: SLINK for single linkage
 //!   (O(N²) time, O(N) memory) and the nearest-neighbour chain
 //!   algorithm with Lance–Williams updates for complete and average
-//!   linkage; θ-cutoff extraction of flat clusters.
+//!   linkage; θ-cutoff extraction of flat clusters;
+//! * [`sparse`] — CSR θ-graphs and both algorithms run on them in
+//!   O(n + edges) memory, with the labels and dendrogram the dense
+//!   versions give on the zero-filled matrix.
 //!
 //! All algorithms are generic over a similarity oracle so they work
 //! identically on minhash sketches, alignment identities, or k-mer

@@ -152,11 +152,16 @@ pub fn build_dendrogram(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogra
             merges: Vec::new(),
         };
     }
-    let mut merges = match linkage {
+    let merges = match linkage {
         Linkage::Single => slink(matrix),
         Linkage::Complete | Linkage::Average => nn_chain(matrix, linkage),
     };
-    // Bottom-up order: most similar first.
+    bottom_up(n, merges)
+}
+
+/// The dendrogram of `merges` in bottom-up order: most similar first,
+/// equal similarities in the order the merges were made.
+pub(crate) fn bottom_up(n: usize, mut merges: Vec<Merge>) -> Dendrogram {
     merges.sort_by(|x, y| y.similarity.partial_cmp(&x.similarity).expect("no NaN"));
     Dendrogram { n, merges }
 }
@@ -322,20 +327,20 @@ fn nn_chain(matrix: &CondensedMatrix, linkage: Linkage) -> Vec<Merge> {
 }
 
 /// Path-compressed, union-by-size union-find.
-struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> UnionFind {
+    pub(crate) fn new(n: usize) -> UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             size: vec![1; n],
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -343,16 +348,18 @@ impl UnionFind {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Join the sets of `a` and `b`; false when they were already one.
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return;
+            return false;
         }
         if self.size[ra] < self.size[rb] {
             std::mem::swap(&mut ra, &mut rb);
         }
         self.parent[rb] = ra;
         self.size[ra] += self.size[rb];
+        true
     }
 }
 

@@ -7,6 +7,7 @@ use mrmc_cluster::{
     Dendrogram,
 };
 use mrmc_mapreduce::chaos::RecoveryCounters;
+use mrmc_mapreduce::obs::{Category, SpanDraft};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
 use mrmc_seqio::SeqRecord;
@@ -122,13 +123,16 @@ impl MrMcMinH {
         // Stage 1: minwise sketches (map-only over records).
         let sketches = sketch_stage(reads, &self.config, &mut pipeline)?;
 
+        let (theta, linkage) = (self.config.theta, self.config.linkage);
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
             (Mode::Greedy, CandidateGen::Dense) => {
                 // Algorithm 1 — iterative, representative-based; runs
                 // on the driver like the paper's GreedyClustering UDF
                 // (invoked once on the grouped relation).
-                let assignment = greedy_cluster(sketches.len(), self.config.theta, |i, j| {
-                    sketch_similarity(&sketches[i], &sketches[j], self.config.estimator)
+                let assignment = driver_step(&pipeline, "driver:greedy", || {
+                    greedy_cluster(sketches.len(), theta, |i, j| {
+                        sketch_similarity(&sketches[i], &sketches[j], self.config.estimator)
+                    })
                 });
                 (assignment.compact(), None)
             }
@@ -138,27 +142,30 @@ impl MrMcMinH {
                 // dense whenever the graph holds every θ-pair (the
                 // auto-tuned scheme's guarantee).
                 let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
-                (
-                    greedy_cluster_sparse(&graph, self.config.theta).compact(),
-                    None,
-                )
+                let assignment = driver_step(&pipeline, "driver:greedy", || {
+                    greedy_cluster_sparse(&graph, theta)
+                });
+                (assignment.compact(), None)
             }
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
                 // then agglomerative clustering with θ cutoff.
                 let matrix = similarity_matrix_stage(sketches, &self.config, &mut pipeline)?;
-                let (assignment, dendro) =
-                    agglomerative(&matrix, self.config.linkage, self.config.theta);
+                let (assignment, dendro) = driver_step(&pipeline, "driver:linkage", || {
+                    agglomerative(&matrix, linkage, theta)
+                });
                 (assignment.compact(), Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded { .. }) => {
-                // Algorithm 2 over the pruned graph (missing pairs read
-                // as similarity 0): the θ-cut matches dense on corpora
-                // whose clusters are θ-separated; sub-θ merges follow
-                // single-linkage-at-θ semantics.
+                // Algorithm 2 over the pruned graph, in O(edges)
+                // memory: the dendrogram is the one the dense run
+                // builds on the zero-filled matrix (missing pairs read
+                // as similarity 0), so the θ-cut equals dense whenever
+                // the graph holds every θ-pair.
                 let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
-                let (assignment, dendro) =
-                    agglomerative_sparse(&graph, self.config.linkage, self.config.theta);
+                let (assignment, dendro) = driver_step(&pipeline, "driver:linkage", || {
+                    agglomerative_sparse(&graph, linkage, theta)
+                });
                 (assignment.compact(), Some(dendro))
             }
         };
@@ -170,6 +177,26 @@ impl MrMcMinH {
             total_time: start.elapsed(),
         })
     }
+}
+
+/// Run a driver-side step (linkage or greedy assignment). On a traced
+/// pipeline the step becomes one `Category::Compute` span under a
+/// ledger job of its own, so the critical path covers it; untraced,
+/// nothing is recorded.
+fn driver_step<T>(pipeline: &Pipeline, name: &str, step: impl FnOnce() -> T) -> T {
+    let Some(tracer) = pipeline.tracer() else {
+        return step();
+    };
+    let job = tracer.begin_job(name);
+    let t0 = tracer.now_ns();
+    let out = step();
+    let dur = tracer.now_ns().saturating_sub(t0);
+    tracer.add_span(
+        SpanDraft::new(job, name, Category::Compute)
+            .at(t0, dur)
+            .lane(0),
+    );
+    out
 }
 
 #[cfg(test)]
@@ -430,8 +457,12 @@ mod tests {
             .run_on(&reads, Pipeline::new("t").traced(t2.clone()))
             .unwrap();
         assert_eq!(t1.ledger().signature(), t2.ledger().signature());
-        // One ledger job per MR stage (sketch + similarity).
-        assert_eq!(t1.ledger().jobs.len(), 2);
+        // One ledger job per MR stage (sketch + similarity), then the
+        // driver's linkage.
+        assert_eq!(
+            t1.ledger().jobs,
+            ["minwise-sketch", "pairwise-similarity", "driver:linkage"]
+        );
 
         // Under a fault plan, the output is still bit-identical and
         // the ledger is a pure function of the plan.

@@ -81,8 +81,9 @@ impl CostCalibration {
         }
     }
 
-    /// Simulated total runtime (seconds) of the hierarchical pipeline
-    /// on `nodes` nodes for `num_reads` reads.
+    /// Simulated runtime (seconds) of the hierarchical pipeline's
+    /// Map-Reduce stages on `nodes` nodes for `num_reads` reads. The
+    /// driver-side linkage after them has no term here.
     pub fn simulate(&self, num_reads: u64, nodes: usize, model: &JobCostModel) -> f64 {
         let cluster = ClusterSpec::m1_large(nodes);
         // Hadoop sizes map tasks at roughly one per block; one task per
@@ -109,8 +110,10 @@ impl CostCalibration {
         job1 + job2
     }
 
-    /// Simulated total runtime (seconds) of the *banded* hierarchical
-    /// pipeline: sketch → band-signatures → candidate-dedup → verify.
+    /// Simulated runtime (seconds) of the *banded* hierarchical
+    /// pipeline's Map-Reduce stages: sketch → band-signatures →
+    /// candidate-dedup → verify. The driver-side linkage on the
+    /// θ-graph has no term here.
     /// `bands` is the scheme's band count (shuffle fan-out per read)
     /// and `candidates` the surviving candidate-pair count — take it
     /// from a measured pruning ratio at a feasible size, it grows

@@ -1,7 +1,7 @@
 //! Cross-crate pins of the banded-LSH pipeline: the exactness contract
-//! (banded == dense, bit for bit) and fault recovery through the
+//! (banded == dense, bit for bit), fault recovery through the
 //! combiner-bearing banding stages, with faults injected through the
-//! [`Pipeline`].
+//! [`Pipeline`], and the driver step's span in a traced run.
 
 use std::sync::Arc;
 
@@ -9,7 +9,9 @@ use mrmc::banded::banded_graph_stage;
 use mrmc::stages::sketch_stage;
 use mrmc::{Mode, MrMcConfig, MrMcMinH, WireFormat};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
+use mrmc_mapreduce::obs::Category;
 use mrmc_mapreduce::pipeline::Pipeline;
+use mrmc_mapreduce::{critical_path, Tracer};
 use mrmc_minhash::Sketch;
 use mrmc_simulate::huse_16s;
 
@@ -117,4 +119,46 @@ fn fetch_failures_recover_bit_identical_with_compact_wire() {
         "both lost map outputs must be re-executed"
     );
     assert!(faulty_p.total_recovery().shuffle_fetch_retries >= 2);
+}
+
+/// A traced banded run records its driver step (linkage or greedy
+/// assignment) as one compute span under a ledger job of its own,
+/// after the Map-Reduce stages, so the critical path ends on it. The
+/// ledger replays and the output equals the untraced run's.
+#[test]
+fn traced_banded_run_records_driver_span() {
+    let reads = corpus(150.0, 31);
+    for (mode, name) in [
+        (Mode::Hierarchical, "driver:linkage"),
+        (Mode::Greedy, "driver:greedy"),
+    ] {
+        let runner = MrMcMinH::new(
+            MrMcConfig {
+                mode,
+                ..MrMcConfig::sixteen_s()
+            }
+            .banded(),
+        );
+        let plain = runner.run(&reads).expect("untraced run");
+        let traced_run = |tracer: &Arc<Tracer>| {
+            runner
+                .run_on(&reads, Pipeline::new("t").traced(Arc::clone(tracer)))
+                .expect("traced run")
+        };
+        let (t1, t2) = (Arc::new(Tracer::new()), Arc::new(Tracer::new()));
+        let traced = traced_run(&t1);
+        traced_run(&t2);
+        assert_eq!(traced.assignment, plain.assignment, "{mode:?}");
+        assert_eq!(traced.dendrogram, plain.dendrogram, "{mode:?}");
+
+        let ledger = t1.ledger();
+        assert_eq!(ledger.signature(), t2.ledger().signature(), "{mode:?}");
+        assert_eq!(ledger.jobs.last().map(String::as_str), Some(name));
+        let driver: Vec<_> = ledger.spans.iter().filter(|s| s.name == name).collect();
+        assert_eq!(driver.len(), 1, "{mode:?}");
+        assert_eq!(driver[0].category, Category::Compute);
+        assert_eq!(driver[0].job as usize, ledger.jobs.len() - 1);
+        let path = critical_path(&ledger);
+        assert_eq!(path.steps.last().map(|s| s.name.as_str()), Some(name));
+    }
 }
